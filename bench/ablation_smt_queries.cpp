@@ -3,17 +3,17 @@
 // Two questions share this harness. The paper's future-work question
 // (Sect. V-B): does translating through formal ISA semantics change SMT
 // query complexity compared to an IR-based translation? And this repo's
-// own: how much of the per-flip solver cost do the three solver-pipeline
+// own: how much of the per-flip solver cost do the two solver-pipeline
 // optimizations (incremental prefix solving, constraint-independence
-// slicing, model-reuse pre-check) remove, each on its own layer?
+// slicing) remove, each on its own layer?
 //
 // For every Table I workload the harness explores with BinSym (DSL
 // semantics) and the BINSEC-like engine (lifter IR) under a cumulative
-// sweep {baseline, +incremental, +slice, +presolve} — plus a "no-intern"
-// row re-running the full pipeline with expression hash-consing disabled
+// sweep {baseline, +incremental, +slice} — plus a "no-intern" row
+// re-running the full pipeline with expression hash-consing disabled
 // (smt/context.hpp) — and measures the *effective* branch-flip queries:
 // distinct DAG nodes per query (sliced queries shrink), cumulative solver
-// seconds, presolve hits and cache hits. Path counts are printed so every
+// seconds and cache hits. Path counts are printed so every
 // row doubles as a determinism check — they must not move across
 // configurations, the intern toggle included.
 //
@@ -44,25 +44,24 @@ namespace {
 
 struct Config {
   const char* name;
-  bool incremental, slice, presolve, intern;
+  bool incremental, slice, intern;
   bool portfolio = false;   // race z3 + bitblast per query
   bool persistent = false;  // cold + warm pair over one solver store
 };
 
-// Cumulative: each stage adds one optimization to the previous stage. The
-// "no-intern" row re-runs the full pipeline with expression hash-consing
-// off (the legacy fresh-node-per-call allocator), isolating how much of
-// the query DAG size the intern arena's structural sharing removes; the
-// "portfolio" and "persistent" rows swap the backend layer under the full
-// pipeline (docs/SOLVERS.md).
+// Cumulative: each stage adds one optimization to the previous stage, so
+// "+slice" is the full default pipeline. The "no-intern" row re-runs it
+// with expression hash-consing off (the legacy fresh-node-per-call
+// allocator), isolating how much of the query DAG size the intern arena's
+// structural sharing removes; the "portfolio" and "persistent" rows swap
+// the backend layer under it (docs/SOLVERS.md).
 constexpr Config kConfigs[] = {
-    {"baseline", false, false, false, true},
-    {"+incremental", true, false, false, true},
-    {"+slice", true, true, false, true},
-    {"+presolve", true, true, true, true},
-    {"no-intern", true, true, true, false},
-    {"portfolio", true, true, true, true, /*portfolio=*/true},
-    {"persistent", true, true, true, true, false, /*persistent=*/true},
+    {"baseline", false, false, true},
+    {"+incremental", true, false, true},
+    {"+slice", true, true, true},
+    {"no-intern", true, true, false},
+    {"portfolio", true, true, true, /*portfolio=*/true},
+    {"persistent", true, true, true, false, /*persistent=*/true},
 };
 
 /// Checks the backend actually ran: queries it neither answered from the
@@ -83,7 +82,6 @@ core::EngineStats measure(const std::string& engine,
   options.max_paths = max_paths;
   options.incremental_solving = config.incremental;
   options.slice_queries = config.slice;
-  options.presolve_models = config.presolve;
   options.intern_exprs = config.intern;
   options.measure_query_nodes = true;
 
@@ -122,11 +120,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "ABLATION: SMT QUERY COMPLEXITY — translation strategy x solver "
-      "pipeline {baseline, +incremental, +slice, +presolve, no-intern}%s\n",
+      "pipeline {baseline, +incremental, +slice, no-intern}%s\n",
       quick ? " (quick)" : "");
-  std::printf("%-16s %-8s %-13s %8s %8s %10s %9s %10s %9s %10s\n", "Benchmark",
+  std::printf("%-16s %-8s %-13s %8s %8s %10s %9s %10s %10s\n", "Benchmark",
               "engine", "config", "paths", "queries", "avg nodes", "max nodes",
-              "solver(s)", "presolve", "cache-hit");
+              "solver(s)", "cache-hit");
 
   int failures = 0;
   for (const workloads::WorkloadInfo& info : workloads::table1_workloads()) {
@@ -135,20 +133,18 @@ int main(int argc, char** argv) {
 
     for (const char* engine : {"binsym", "binsec"}) {
       uint64_t baseline_paths = 0;
-      uint64_t interned_nodes_total = 0;  // "+presolve" row (intern on)
+      uint64_t interned_nodes_total = 0;  // "+slice" row (intern on)
       for (const Config& config : kConfigs) {
         core::EngineStats cold{};
         core::EngineStats s =
             measure(engine, setup, config, max_paths,
                     info.name + "-" + engine, &cold);
-        if (config.incremental == false && config.slice == false &&
-            config.presolve == false)
-          baseline_paths = s.paths;
+        if (!config.incremental && !config.slice) baseline_paths = s.paths;
         // Determinism guard: the optimizations may only change cost, never
         // the explored path set's size. The intern toggle is held to the
         // same bar — hash-consing must be purely representational.
         if (s.paths != baseline_paths) ++failures;
-        if (std::strcmp(config.name, "+presolve") == 0)
+        if (std::strcmp(config.name, "+slice") == 0)
           interned_nodes_total = s.query_nodes_total;
         // Sharing guard: the legacy allocator duplicates structurally equal
         // nodes (re-read bytes, re-minted constants), so on the byte-heavy
@@ -187,13 +183,12 @@ int main(int argc, char** argv) {
                 ? static_cast<double>(s.query_nodes_total) / s.flip_attempts
                 : 0.0;
         std::printf(
-            "%-16s %-8s %-13s %8llu %8llu %10.1f %9llu %10.3f %9llu %10llu%s\n",
+            "%-16s %-8s %-13s %8llu %8llu %10.1f %9llu %10.3f %10llu%s\n",
             info.name.c_str(), engine, config.name,
             static_cast<unsigned long long>(s.paths),
             static_cast<unsigned long long>(s.flip_attempts), avg_nodes,
             static_cast<unsigned long long>(s.query_nodes_max),
             s.solver.solve_seconds,
-            static_cast<unsigned long long>(s.presolve_hits),
             static_cast<unsigned long long>(s.solver.cache_hits),
             s.paths != baseline_paths ? "  <- PATH-COUNT DRIFT" : "");
         if (json) {
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
               "\"quick\":%s,\"intern\":%s,\"paths\":%llu,\"queries\":%llu,"
               "\"query_nodes_total\":%llu,"
               "\"avg_query_nodes\":%.2f,\"max_query_nodes\":%llu,"
-              "\"solver_seconds\":%.6f,\"presolve_hits\":%llu,"
+              "\"solver_seconds\":%.6f,"
               "\"cache_hits\":%llu,\"sliced_out\":%llu,"
               "\"store_hits\":%llu,\"backend_calls\":%llu}\n",
               info.name.c_str(), engine, config.name, quick ? "true" : "false",
@@ -213,7 +208,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.query_nodes_total), avg_nodes,
               static_cast<unsigned long long>(s.query_nodes_max),
               s.solver.solve_seconds,
-              static_cast<unsigned long long>(s.presolve_hits),
               static_cast<unsigned long long>(s.solver.cache_hits),
               static_cast<unsigned long long>(s.sliced_constraints),
               static_cast<unsigned long long>(s.store_hits),
@@ -228,7 +222,7 @@ int main(int argc, char** argv) {
       "\nNotes: identical expression layer + folding on both engines, so "
       "equal node counts answer the paper's open question; the config sweep "
       "is cumulative, and `avg nodes` drops at +slice because sliced-out "
-      "constraints leave the query. The no-intern row re-runs +presolve with "
+      "constraints leave the query. The no-intern row re-runs +slice with "
       "hash-consing off; paths must not move and query nodes must not "
       "shrink. The portfolio row races z3 + bitblast per query; the "
       "persistent row is the warm second run over a solver store its cold "

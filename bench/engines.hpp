@@ -319,16 +319,14 @@ inline unsigned parse_jobs_arg(const char* arg) {
 }
 
 /// Solver-pipeline optimization toggles, shared by every harness:
-/// --no-incremental, --no-slice, --no-presolve (and --no-cache and
-/// --no-intern for completeness). Returns false when `arg` is none of them.
+/// --no-incremental, --no-slice, --no-cache and --no-intern. Returns false
+/// when `arg` is none of them.
 inline bool parse_solver_opt_flag(const char* arg,
                                   core::EngineOptions* options) {
   if (std::strcmp(arg, "--no-incremental") == 0) {
     options->incremental_solving = false;
   } else if (std::strcmp(arg, "--no-slice") == 0) {
     options->slice_queries = false;
-  } else if (std::strcmp(arg, "--no-presolve") == 0) {
-    options->presolve_models = false;
   } else if (std::strcmp(arg, "--no-cache") == 0) {
     options->cache_queries = false;
   } else if (std::strcmp(arg, "--no-intern") == 0) {

@@ -4,8 +4,7 @@
 //
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
-//           [--no-incremental] [--no-slice] [--no-presolve] [--no-cache]
-//           [--no-intern]
+//           [--no-incremental] [--no-slice] [--no-cache] [--no-intern]
 //           [--no-snapshot] [--snapshot-budget N] [--snapshot-interval N]
 //           [--no-uop] [--uop-cache-size N]
 //           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
@@ -47,7 +46,6 @@ void print_usage(std::FILE* out, const char* prog) {
       "                           path-selection strategy\n"
       "  --no-incremental         disable incremental prefix solving\n"
       "  --no-slice               disable constraint-independence slicing\n"
-      "  --no-presolve            disable the model-reuse pre-check\n"
       "  --no-cache               disable the per-worker query cache\n"
       "  --no-intern              disable expression hash-consing (legacy\n"
       "                           fresh-node-per-call allocator)\n"

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <fstream>
 #include <mutex>
@@ -29,53 +28,6 @@ void dump_query(const std::string& dir, uint64_t index, smt::Context& ctx,
                                      static_cast<unsigned long long>(index)));
   if (file) smt::print_query(file, ctx, query);
 }
-
-/// Bounded pool of recently returned sat models (per worker, so no locking
-/// and no TSan traffic). Each entry keeps a CachingEvaluator whose memo
-/// persists across flips: the recurring prefix constraints of one trace
-/// evaluate once per pooled model, not once per flip.
-class ModelPool {
- public:
-  explicit ModelPool(size_t capacity) : capacity_(capacity) {}
-
-  void add(const smt::Assignment& model) {
-    if (capacity_ == 0) return;
-    if (entries_.size() == capacity_) entries_.pop_front();
-    entries_.emplace_back(model);
-  }
-
-  /// The most recently added model satisfying every constraint of `query`,
-  /// or nullptr.
-  const smt::Assignment* find_satisfying(
-      std::span<const smt::ExprRef> query) {
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-      bool satisfied = true;
-      for (smt::ExprRef constraint : query) {
-        if (it->eval.evaluate(constraint) != 1) {
-          satisfied = false;
-          break;
-        }
-      }
-      if (satisfied) return &it->model;
-    }
-    return nullptr;
-  }
-
- private:
-  struct Entry {
-    smt::Assignment model;
-    smt::CachingEvaluator eval;
-    explicit Entry(const smt::Assignment& m) : model(m), eval(model) {}
-    // eval references this entry's own `model`; copying or moving would
-    // rebind it to the source's. The deque below never relocates entries.
-    Entry(const Entry&) = delete;
-    Entry& operator=(const Entry&) = delete;
-  };
-
-  size_t capacity_;
-  std::deque<Entry> entries_;  // deque: entries never relocate, so the
-                               // evaluator's reference into `model` is stable
-};
 
 /// Assemble the final Finding record for a detection on `trace`: dedup-key
 /// fields, SMT-LIB rendering of the faulting expression, and the witness
@@ -123,8 +75,6 @@ void EngineStats::merge(const EngineStats& other) {
   failures += other.failures;
   max_branch_depth = std::max(max_branch_depth, other.max_branch_depth);
   instructions += other.instructions;
-  presolve_hits += other.presolve_hits;
-  presolve_misses += other.presolve_misses;
   store_hits += other.store_hits;
   store_misses += other.store_misses;
   store_entries += other.store_entries;
@@ -247,10 +197,9 @@ std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
   if (options_.fault_plan)
     raw = std::make_unique<smt::FaultInjectingSolver>(std::move(raw),
                                                       options_.fault_plan);
-  // Query caching is managed by the worker loop itself (not a CachingSolver
-  // wrapper): the engine keys the cache by the *effective* query — the
-  // sliced one when slicing is on — and serves hits before the scoped
-  // incremental path, which a solver-level wrapper cannot do for it.
+  // Query caching is not a wrapper: the worker loop keys its cache by the
+  // *effective* query — the sliced one when slicing is on — and serves hits
+  // before the scoped incremental path.
   return raw;
 }
 
@@ -265,15 +214,13 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   const uint64_t nodes_before = ctx.num_nodes();
   const uint64_t intern_hits_before = ctx.intern_hits();
 
-  // Per-worker solver-pipeline state (workers never share any of it; the
-  // cache keys are structural content hashes, so sharing across workers
-  // would be sound — it is kept per-worker for lock-free locality).
+  // Per-worker solver-pipeline state (workers never share any of it, so
+  // the query cache is a plain map with no locking).
   const EngineOptions& opts = shared.options;
   const bool incremental = opts.incremental_solving;
   smt::QuerySlicer slicer;
-  ModelPool pool(opts.presolve_models ? opts.presolve_pool : 0);
   std::optional<smt::QueryCache> cache;
-  if (opts.cache_queries) cache.emplace(/*shards=*/1);
+  if (opts.cache_queries) cache.emplace();
   smt::SolverStore* const store = opts.solver_store.get();
   uint64_t cache_hits_sat = 0, cache_hits_unsat = 0, cache_misses = 0;
   uint64_t store_hits_sat = 0, store_hits_unsat = 0;
@@ -453,7 +400,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     // Every flip of this trace shares the prefix conjunction with its
     // successors (flip i+1's prefix is flip i's plus one constraint), so
     // the prefix is grown once, incrementally — appended to `prefix` for
-    // slicing/pre-checking, and asserted into the solver's scope so each
+    // slicing and cache keys, and asserted into the solver's scope so each
     // check only ships the negated branch as an assumption.
     prefix.clear();
     size_t next_branch = 0;      // prefix branches appended so far
@@ -489,16 +436,16 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       // The effective query: the negated branch's variable-connected
       // component(s) of the prefix when slicing, the whole conjunction
       // otherwise. The unsliced vector is only materialized when something
-      // consumes it (stateless check, cache key, pre-check, dump,
-      // measurement); pure incremental solving needs no query vector.
+      // consumes it (stateless check, cache key, dump, measurement); pure
+      // incremental solving needs no query vector.
       smt::QuerySlicer::Result sliced;
       const std::vector<smt::ExprRef>* query = nullptr;
       if (opts.slice_queries) {
         sliced = slicer.slice(prefix, negated);
         local.sliced_constraints += sliced.dropped;
         query = &sliced.query;
-      } else if (!incremental || opts.presolve_models || opts.cache_queries ||
-                 store || opts.measure_query_nodes ||
+      } else if (!incremental || opts.cache_queries || store ||
+                 opts.measure_query_nodes ||
                  !shared.options.smtlib_dump_dir.empty()) {
         full_query.assign(prefix.begin(), prefix.end());
         full_query.push_back(negated);
@@ -520,14 +467,11 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       //      process boundary), its name-keyed model translated back
       //      through this context's variable table — but only after the
       //      entry survives the collision checks below;
-      //   3. model-reuse pre-check against recently returned models;
-      //   4. the solver — through the scoped incremental API when enabled.
+      //   3. the solver — through the scoped incremental API when enabled.
       smt::Assignment model;
       smt::CheckResult result = smt::CheckResult::kUnknown;
       smt::QueryCache::Key key;
       bool answered = false;
-      bool from_solver = false;
-      bool from_store = false;
       if (cache || store) key = smt::QueryCache::key_for(*query);
       // The query's distinct variables, for the store's collision
       // discriminator (lookup and insert both record it).
@@ -577,12 +521,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           for (const auto& [name, value] : stored.model)
             if (smt::ExprRef var = ctx.lookup_var(name))
               model.set(var->var_id, value);
-          for (smt::ExprRef assertion : *query) {
-            if (smt::evaluate(assertion, model) != 1) {
-              hit = false;
-              model.values.clear();
-              break;
-            }
+          if (!smt::satisfies(*query, model)) {
+            hit = false;
+            model.values.clear();
           }
         }
         if (hit) {
@@ -597,28 +538,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           if (cache)
             cache->insert(key, smt::QueryCache::Entry{result, model});
           answered = true;
-          from_store = true;
           ++local.store_hits;
         } else {
           ++local.store_misses;
-        }
-      }
-      if (!answered && opts.presolve_models) {
-        if (const smt::Assignment* reused = pool.find_satisfying(*query)) {
-          // The verdict evaluated variables the pooled model does not
-          // assign as zero (Assignment::get's completion); materialize a
-          // value for *every* query variable so the next_seed merge below
-          // reproduces exactly the assignment the pre-check judged — a
-          // parent-seed value surviving for a missing variable could
-          // invalidate it.
-          const std::vector<uint32_t> qvars =
-              opts.slice_queries ? sliced.vars : smt::collect_vars(*query);
-          for (uint32_t var : qvars) model.set(var, reused->get(var));
-          result = smt::CheckResult::kSat;
-          answered = true;
-          ++local.presolve_hits;
-        } else {
-          ++local.presolve_misses;
         }
       }
       if (!answered) {
@@ -626,7 +548,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         result = incremental
                      ? solver.check_assuming(std::span(&negated, 1), &model)
                      : solver.check(*query, &model);
-        from_solver = true;
         if (result == smt::CheckResult::kUnknown) ++local.queries_unknown;
         if (cache && result != smt::CheckResult::kUnknown)
           cache->insert(key, smt::QueryCache::Entry{result, model});
@@ -663,13 +584,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         continue;
       }
       ++local.feasible_flips;
-      // Store hits feed the model pool like fresh solver models: a prior
-      // run's models pre-answer this run's sibling flips.
-      if (from_solver || from_store) pool.add(model);
       // With slicing the model must not leak values for sliced-out
-      // variables: those constraints were never sent (or, pre-checked
-      // against a model of some other query), and the parent seed is the
-      // witness that satisfies them.
+      // variables: those constraints were never sent, and the parent seed
+      // is the witness that satisfies them.
       if (opts.slice_queries) smt::restrict_to_vars(&model, sliced.vars);
       // New seed: parent values, overridden by the model. With slicing the
       // model covers exactly the effective query's variables, so everything
@@ -722,9 +639,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   local.intern_hits = ctx.intern_hits() - intern_hits_before;
   local.arena_bytes = ctx.arena_bytes();
   local.solver = solver.stats();
-  // Queries answered from the cache (or the persistent store — a cache
-  // whose hits crossed a process boundary) count as logical queries,
-  // exactly as the CachingSolver wrapper reports them in standalone use.
+  // Flips answered from the cache (or the persistent store — a cache whose
+  // hits crossed a process boundary) count as logical solver queries with
+  // their verdict, just like the flips the backend decided.
   local.solver.queries +=
       cache_hits_sat + cache_hits_unsat + store_hits_sat + store_hits_unsat;
   local.solver.sat += cache_hits_sat + store_hits_sat;

@@ -73,12 +73,6 @@ struct EngineOptions {
   /// Constraint-independence slicing: send only the prefix constraints
   /// variable-connected to the negated branch (see smt/slice.hpp).
   bool slice_queries = true;
-  /// Model-reuse pre-check: evaluate each flip query under recently
-  /// returned models first; a satisfying one answers sat with no solver
-  /// round trip.
-  bool presolve_models = true;
-  /// Per-worker recent-model pool size for the pre-check (0 disables).
-  unsigned presolve_pool = 8;
   /// Persistent content-addressed query/model store (smt/store.hpp),
   /// shared across workers (internally locked) and across *processes*:
   /// flip queries answer from it before reaching a solver, definitive
@@ -166,8 +160,8 @@ struct EngineStats {
   uint64_t failures = 0;         // report_fail events across all paths
   uint64_t max_branch_depth = 0;
   uint64_t instructions = 0;
-  uint64_t presolve_hits = 0;    // flips answered by the recent-model pool
-  uint64_t presolve_misses = 0;  // pre-checked flips that still hit the solver
+  // Always 0: no model-reuse pre-check exists; perfbench/bench_e2e reads them.
+  uint64_t presolve_hits = 0, presolve_misses = 0;
   // -- Persistent store (EngineOptions::solver_store). Zero without one.
   uint64_t store_hits = 0;     // flips answered by the persistent store
   uint64_t store_misses = 0;   // store-consulted flips that went further
@@ -272,7 +266,7 @@ class DseEngine {
   /// Single-executor form: exploration borrows `executor` and runs
   /// sequentially on the calling thread. `solver` is the raw backend (e.g.
   /// from smt::make_z3_solver); ownership is taken so the engine can layer
-  /// cache/validation wrappers. Requires options.jobs == 1.
+  /// the validation and fault-injection wrappers. Requires options.jobs == 1.
   DseEngine(Executor& executor, std::unique_ptr<smt::Solver> solver,
             EngineOptions options = {});
 

@@ -22,13 +22,12 @@ std::string engine_stats_report(const EngineStats& stats) {
       "cache-hits=%llu cache-misses=%llu solve-time=%.3fs\n",
       stats.solver_name.c_str(), u(s.queries), u(s.sat), u(s.unsat),
       u(s.unknown), u(s.cache_hits), u(s.cache_misses), s.solve_seconds);
-  // The solver-pipeline optimizations (engine.hpp): presolve hit rate,
-  // constraints removed by independence slicing, and how much asserted
-  // prefix the incremental scopes let each backend check reuse.
+  // The solver-pipeline optimizations (engine.hpp): constraints removed by
+  // independence slicing, and how much asserted prefix the incremental
+  // scopes let each backend check reuse.
   out += strprintf(
-      "opts: presolve-hits=%llu presolve-misses=%llu sliced-out=%llu "
-      "incremental-checks=%llu reused-assertions=%llu (avg depth %.1f)\n",
-      u(stats.presolve_hits), u(stats.presolve_misses),
+      "opts: sliced-out=%llu incremental-checks=%llu reused-assertions=%llu "
+      "(avg depth %.1f)\n",
       u(stats.sliced_constraints), u(s.incremental_checks),
       u(s.reused_assertions),
       s.incremental_checks

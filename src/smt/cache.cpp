@@ -4,20 +4,6 @@
 
 namespace binsym::smt {
 
-namespace {
-
-size_t round_up_pow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-QueryCache::QueryCache(size_t shards)
-    : shard_count_(round_up_pow2(std::max<size_t>(shards, 1))),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {}
-
 QueryCache::Key QueryCache::key_for(std::span<const ExprRef> assertions) {
   return key_for(assertions, {});
 }
@@ -37,110 +23,15 @@ QueryCache::Key QueryCache::key_for(std::span<const ExprRef> scoped,
   return key;
 }
 
-QueryCache::Shard& QueryCache::shard_for(const Key& key) {
-  // FNV-1a over the hash sequence; shard count is a power of two.
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (uint64_t hash : key) h = (h ^ hash) * 0x100000001b3ull;
-  return shards_[h & (shard_count_ - 1)];
-}
-
-bool QueryCache::lookup(const Key& key, Entry* out) {
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (out) *out = it->second;
-      return true;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+bool QueryCache::lookup(const Key& key, Entry* out) const {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  if (out) *out = it->second;
+  return true;
 }
 
 void QueryCache::insert(const Key& key, Entry entry) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.entries.emplace(key, std::move(entry));
-}
-
-size_t QueryCache::size() const {
-  size_t total = 0;
-  for (size_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mutex);
-    total += shards_[i].entries.size();
-  }
-  return total;
-}
-
-void QueryCache::clear() {
-  for (size_t i = 0; i < shard_count_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mutex);
-    shards_[i].entries.clear();
-  }
-}
-
-CheckResult CachingSolver::serve(const QueryCache::Key& key,
-                                 std::span<const ExprRef> assertions,
-                                 bool via_assumptions, Assignment* model) {
-  auto account = [this](CheckResult result) {
-    ++stats_.queries;
-    switch (result) {
-      case CheckResult::kSat:     ++stats_.sat; break;
-      case CheckResult::kUnsat:   ++stats_.unsat; break;
-      case CheckResult::kUnknown: ++stats_.unknown; break;
-    }
-  };
-
-  QueryCache::Entry entry;
-  if (cache_->lookup(key, &entry)) {
-    ++stats_.cache_hits;
-    account(entry.result);
-    if (model && entry.result == CheckResult::kSat)
-      *model = std::move(entry.model);
-    return entry.result;
-  }
-
-  ++stats_.cache_misses;
-  Assignment local;
-  CheckResult result = via_assumptions
-                           ? inner_->check_assuming(assertions, &local)
-                           : inner_->check(assertions, &local);
-  stats_.solve_seconds = inner_->stats().solve_seconds;
-  stats_.incremental_checks = inner_->stats().incremental_checks;
-  stats_.reused_assertions = inner_->stats().reused_assertions;
-  account(result);
-  if (model && result == CheckResult::kSat) *model = local;
-  if (result != CheckResult::kUnknown)
-    cache_->insert(key, QueryCache::Entry{result, std::move(local)});
-  return result;
-}
-
-CheckResult CachingSolver::check(std::span<const ExprRef> assertions,
-                                 Assignment* model) {
-  return serve(QueryCache::key_for(assertions), assertions,
-               /*via_assumptions=*/false, model);
-}
-
-void CachingSolver::push() {
-  Solver::push();
-  inner_->push();
-}
-
-void CachingSolver::pop() {
-  Solver::pop();
-  inner_->pop();
-}
-
-void CachingSolver::assert_(ExprRef assertion) {
-  Solver::assert_(assertion);
-  inner_->assert_(assertion);
-}
-
-CheckResult CachingSolver::check_assuming(std::span<const ExprRef> assumptions,
-                                          Assignment* model) {
-  return serve(QueryCache::key_for(scoped_assertions(), assumptions),
-               assumptions, /*via_assumptions=*/true, model);
+  entries_.emplace(key, std::move(entry));
 }
 
 }  // namespace binsym::smt

@@ -7,20 +7,15 @@
 // re-hashing of the DAG. Sat results keep their model so a hit can reseed
 // execution without a solver round trip.
 //
-// QueryCache is the storage: sharded and thread-safe. Because content
-// hashes are stable across contexts and across the intern toggle (see
-// context.hpp), a cache may be shared by CachingSolvers over *different*
-// contexts, and keys survive a context teardown — the property the
-// persistent content-addressed cache of ROADMAP item 4 builds on.
-// CachingSolver is the smt::Solver wrapper the engine layers over a
-// backend; it keeps per-solver hit/miss counters in its SolverStats while
-// the cache keeps process-wide atomic totals.
+// Each engine worker owns one QueryCache: a plain map, never shared, so
+// nothing locks, and the worker loop counts its own hits and misses.
+// Because content hashes are stable across contexts and across the intern
+// toggle (see context.hpp), keys survive a context teardown — the property
+// the persistent store (store.hpp) builds on.
 #pragma once
 
-#include <atomic>
 #include <map>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "smt/solver.hpp"
@@ -39,10 +34,6 @@ class QueryCache {
   /// satisfiability and would fragment keys).
   using Key = std::vector<uint64_t>;
 
-  /// `shards` is rounded up to a power of two; more shards mean less lock
-  /// contention when many solvers share one cache.
-  explicit QueryCache(size_t shards = 8);
-
   static Key key_for(std::span<const ExprRef> assertions);
 
   /// Same canonical key over the conjunction of two assertion lists (the
@@ -50,87 +41,14 @@ class QueryCache {
   static Key key_for(std::span<const ExprRef> scoped,
                      std::span<const ExprRef> assumptions);
 
-  /// True (and fills *out) on a hit. Counts a hit or a miss.
-  bool lookup(const Key& key, Entry* out);
+  /// True (and fills *out) on a hit.
+  bool lookup(const Key& key, Entry* out) const;
 
-  /// Insert (first writer wins on a racing duplicate).
+  /// Insert; an existing entry for `key` is kept.
   void insert(const Key& key, Entry entry);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  size_t size() const;
-  size_t num_shards() const { return shard_count_; }
-  void clear();
-
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<Key, Entry> entries;
-  };
-
-  Shard& shard_for(const Key& key);
-
-  size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-};
-
-class CachingSolver final : public Solver {
- public:
-  /// Private cache (the common case: one solver, one context).
-  explicit CachingSolver(std::unique_ptr<Solver> inner)
-      : CachingSolver(std::move(inner), std::make_shared<QueryCache>()) {}
-
-  /// Shared cache; content-hash keys make sharing safe across contexts.
-  CachingSolver(std::unique_ptr<Solver> inner, std::shared_ptr<QueryCache> cache)
-      : inner_(std::move(inner)), cache_(std::move(cache)) {}
-
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override;
-
-  // Scoped API: push/pop/assert_ forward to the inner backend while the
-  // wrapper mirrors the live assertion set (base-class scoped_), so a
-  // check_assuming() can be keyed by the canonical id set of
-  // scoped ∧ assumptions. The key is identical to the one a stateless
-  // check() over the same conjunction produces, so incremental and
-  // non-incremental explorations share cache entries.
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
-  CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                             Assignment* model) override;
-
-  std::string name() const override { return inner_->name() + "+cache"; }
-  std::string last_backend() const override { return inner_->last_backend(); }
-  void set_deadline_ms(uint32_t ms) override {
-    Solver::set_deadline_ms(ms);
-    inner_->set_deadline_ms(ms);
-  }
-  void cancel() override {
-    Solver::cancel();
-    inner_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    inner_->reset_cancel();
-  }
-
-  Solver& inner() { return *inner_; }
-  QueryCache& cache() { return *cache_; }
-  size_t size() const { return cache_->size(); }
-  void clear() { cache_->clear(); }
-
- private:
-  /// Common serve path: answer `key` from the cache or forward to the inner
-  /// solver (stateless check when `via_assumptions` is false, scoped
-  /// check_assuming otherwise) and fill the cache with the verdict.
-  CheckResult serve(const QueryCache::Key& key,
-                    std::span<const ExprRef> assertions, bool via_assumptions,
-                    Assignment* model);
-
-  std::unique_ptr<Solver> inner_;
-  std::shared_ptr<QueryCache> cache_;
+  std::map<Key, Entry> entries_;
 };
 
 }  // namespace binsym::smt

@@ -83,4 +83,11 @@ uint64_t CachingEvaluator::evaluate(ExprRef root) {
   return memo_.at(root->hash);
 }
 
+bool satisfies(std::span<const ExprRef> assertions, const Assignment& model) {
+  CachingEvaluator eval(model);
+  for (ExprRef assertion : assertions)
+    if (eval.evaluate(assertion) != 1) return false;
+  return true;
+}
+
 }  // namespace binsym::smt

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 
 #include "smt/expr.hpp"
@@ -29,6 +30,11 @@ struct Assignment {
 /// `root->width`. The evaluation semantics are exactly SMT-LIB's (saturating
 /// shifts, total division).
 uint64_t evaluate(ExprRef root, const Assignment& assignment);
+
+/// True when every (width-1) assertion evaluates to 1 under `model` — the
+/// one model check: solver-model validation and persistent-store hits both
+/// use it. Subterms shared between assertions are evaluated once.
+bool satisfies(std::span<const ExprRef> assertions, const Assignment& model);
 
 /// Evaluator with a persistent memo table, for callers that evaluate many
 /// roots over one fixed assignment (e.g. a whole path condition). The memo

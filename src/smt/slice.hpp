@@ -5,9 +5,9 @@
 // condition. Such constraints cannot affect the satisfiability of the
 // group the condition lives in (the parent seed already satisfies them),
 // so the solver only needs the variable-connected component(s) reachable
-// from the condition's variables. Slicing shrinks the solver query, the
+// from the condition's variables. Slicing shrinks the solver query and the
 // query-cache key (sibling flips over disjoint groups collapse onto one
-// key) and the set the model-reuse pre-check must evaluate.
+// key).
 //
 // Soundness of the model merge: sliced-out constraints are variable-
 // disjoint from the sliced group by construction, so a model of the sliced

@@ -47,16 +47,11 @@ CheckResult Solver::check_assuming(std::span<const ExprRef> assumptions,
 CheckResult ValidatingSolver::validate(std::span<const ExprRef> assumptions,
                                        CheckResult result,
                                        const Assignment& model) {
-  if (result != CheckResult::kSat) return result;
-  auto check_one = [&](ExprRef assertion) {
-    if (evaluate(assertion, model) != 1) {
-      throw std::logic_error("solver '" + inner_->name() +
-                             "' returned a model that does not satisfy the "
-                             "query");
-    }
-  };
-  for (ExprRef assertion : scoped_) check_one(assertion);
-  for (ExprRef assertion : assumptions) check_one(assertion);
+  if (result == CheckResult::kSat &&
+      !(satisfies(scoped_, model) && satisfies(assumptions, model)))
+    throw std::logic_error("solver '" + inner_->name() +
+                           "' returned a model that does not satisfy the "
+                           "query");
   return result;
 }
 
@@ -67,21 +62,6 @@ CheckResult ValidatingSolver::check(std::span<const ExprRef> assertions,
   CheckResult result = inner_->check(assertions, target);
   stats_ = inner_->stats();
   return validate(assertions, result, *target);
-}
-
-void ValidatingSolver::push() {
-  Solver::push();
-  inner_->push();
-}
-
-void ValidatingSolver::pop() {
-  Solver::pop();
-  inner_->pop();
-}
-
-void ValidatingSolver::assert_(ExprRef assertion) {
-  Solver::assert_(assertion);
-  inner_->assert_(assertion);
 }
 
 CheckResult ValidatingSolver::check_assuming(
@@ -99,7 +79,7 @@ void FailoverSolver::refresh_stats() {
   // Report *logical* queries: a rescued check is still one query to the
   // caller, classified by its final verdict. Wall time and the incremental
   // counters sum the real backend work.
-  SolverStats primary = primary_->stats();
+  SolverStats primary = inner_->stats();
   stats_.solve_seconds = primary.solve_seconds;
   stats_.incremental_checks = primary.incremental_checks;
   stats_.reused_assertions = primary.reused_assertions;
@@ -141,7 +121,7 @@ CheckResult FailoverSolver::check(std::span<const ExprRef> assertions,
   last_rescued_ = false;
   CheckResult result = CheckResult::kUnknown;
   try {
-    result = primary_->check(assertions, model);
+    result = inner_->check(assertions, model);
   } catch (const std::exception&) {
     result = CheckResult::kUnknown;
   }
@@ -157,28 +137,13 @@ CheckResult FailoverSolver::check(std::span<const ExprRef> assertions,
   return result;
 }
 
-void FailoverSolver::push() {
-  Solver::push();
-  primary_->push();
-}
-
-void FailoverSolver::pop() {
-  Solver::pop();
-  primary_->pop();
-}
-
-void FailoverSolver::assert_(ExprRef assertion) {
-  Solver::assert_(assertion);
-  primary_->assert_(assertion);
-}
-
 CheckResult FailoverSolver::check_assuming(std::span<const ExprRef> assumptions,
                                            Assignment* model) {
   ++logical_queries_;
   last_rescued_ = false;
   CheckResult result = CheckResult::kUnknown;
   try {
-    result = primary_->check_assuming(assumptions, model);
+    result = inner_->check_assuming(assumptions, model);
   } catch (const std::exception&) {
     result = CheckResult::kUnknown;
   }
@@ -190,12 +155,6 @@ CheckResult FailoverSolver::check_assuming(std::span<const ExprRef> assumptions,
   }
   refresh_stats();
   return result;
-}
-
-void FailoverSolver::set_deadline_ms(uint32_t ms) {
-  Solver::set_deadline_ms(ms);
-  primary_->set_deadline_ms(ms);
-  if (secondary_) secondary_->set_deadline_ms(ms);
 }
 
 // -- FaultInjectingSolver. ----------------------------------------------------
@@ -220,21 +179,6 @@ CheckResult FaultInjectingSolver::check(std::span<const ExprRef> assertions,
   CheckResult result = inner_->check(assertions, model);
   refresh_stats();
   return result;
-}
-
-void FaultInjectingSolver::push() {
-  Solver::push();
-  inner_->push();
-}
-
-void FaultInjectingSolver::pop() {
-  Solver::pop();
-  inner_->pop();
-}
-
-void FaultInjectingSolver::assert_(ExprRef assertion) {
-  Solver::assert_(assertion);
-  inner_->assert_(assertion);
 }
 
 CheckResult FaultInjectingSolver::check_assuming(

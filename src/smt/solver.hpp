@@ -3,7 +3,8 @@
 // The engine asks one question, many times: "is this conjunction of width-1
 // expressions satisfiable, and if so under which variable assignment?". The
 // abstraction allows swapping Z3 (the paper's solver) for the built-in
-// bit-blasting backend, and lets the caching wrapper interpose transparently.
+// bit-blasting backend, and lets the validating, failover and
+// fault-injecting wrappers interpose transparently.
 #pragma once
 
 #include <atomic>
@@ -37,8 +38,8 @@ struct SolverStats {
   uint64_t sat = 0;
   uint64_t unsat = 0;
   uint64_t unknown = 0;
-  uint64_t cache_hits = 0;          // filled in by CachingSolver
-  uint64_t cache_misses = 0;        // filled in by CachingSolver
+  uint64_t cache_hits = 0;          // filled in by the engine's worker loop
+  uint64_t cache_misses = 0;        // from its per-worker QueryCache
   uint64_t incremental_checks = 0;  // check_assuming() calls reaching a backend
   uint64_t reused_assertions = 0;   // scoped assertions live per such check,
                                     // summed (the assumption-reuse depth)
@@ -175,21 +176,27 @@ std::unique_ptr<Solver> make_z3_solver(Context& ctx);
 /// Construct the built-in bit-blasting solver (see sat/).
 std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
 
-/// Validates every kSat model by concrete evaluation before returning it —
-/// wraps another solver; used in tests and available as an engine option.
-class ValidatingSolver final : public Solver {
+/// Base for wrappers over one inner solver: push/pop/assert_ mirror the
+/// scope into the base class (so scoped_assertions() stays valid) and
+/// forward it, and the deadline, cancellation and last_backend() forward to
+/// the inner solver. Subclasses implement check() and check_assuming().
+class ForwardingSolver : public Solver {
  public:
-  explicit ValidatingSolver(std::unique_ptr<Solver> inner)
+  explicit ForwardingSolver(std::unique_ptr<Solver> inner)
       : inner_(std::move(inner)) {}
 
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
-  CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                             Assignment* model) override;
-  std::string name() const override { return inner_->name() + "+validate"; }
+  void push() override {
+    Solver::push();
+    inner_->push();
+  }
+  void pop() override {
+    Solver::pop();
+    inner_->pop();
+  }
+  void assert_(ExprRef assertion) override {
+    Solver::assert_(assertion);
+    inner_->assert_(assertion);
+  }
   std::string last_backend() const override { return inner_->last_backend(); }
   void set_deadline_ms(uint32_t ms) override {
     Solver::set_deadline_ms(ms);
@@ -204,57 +211,71 @@ class ValidatingSolver final : public Solver {
     inner_->reset_cancel();
   }
 
- private:
-  CheckResult validate(std::span<const ExprRef> assumptions,
-                       CheckResult result, const Assignment& model);
-
+ protected:
   std::unique_ptr<Solver> inner_;
 };
 
-/// Backend failover: every query goes to the primary backend first; when
-/// the primary gives up — kUnknown (deadline, theory limits) or a thrown
-/// backend error — the query is retried once on a lazily built secondary
-/// backend before kUnknown is surfaced to the caller. The secondary is
-/// stateless from the wrapper's point of view: it answers each rescue as
-/// one standalone check over the client-side scoped assertions plus the
-/// assumptions (the base class keeps that set for every backend), so it
-/// needs no scope replay and no native incrementality. A decided rescue
-/// counts into SolverStats::failover_rescues.
-class FailoverSolver final : public Solver {
+/// Validates every kSat model by concrete evaluation (smt::satisfies)
+/// before returning it — wraps another solver; used in tests and available
+/// as an engine option.
+class ValidatingSolver final : public ForwardingSolver {
+ public:
+  using ForwardingSolver::ForwardingSolver;
+
+  CheckResult check(std::span<const ExprRef> assertions,
+                    Assignment* model) override;
+  CheckResult check_assuming(std::span<const ExprRef> assumptions,
+                             Assignment* model) override;
+  std::string name() const override { return inner_->name() + "+validate"; }
+
+ private:
+  CheckResult validate(std::span<const ExprRef> assumptions,
+                       CheckResult result, const Assignment& model);
+};
+
+/// Backend failover: every query goes to the primary backend (the inner
+/// solver) first; when the primary gives up — kUnknown (deadline, theory
+/// limits) or a thrown backend error — the query is retried once on a
+/// lazily built secondary backend before kUnknown is surfaced to the
+/// caller. The secondary is stateless from the wrapper's point of view: it
+/// answers each rescue as one standalone check over the client-side scoped
+/// assertions plus the assumptions (the base class keeps that set for every
+/// backend), so it needs no scope replay and no native incrementality. A
+/// decided rescue counts into SolverStats::failover_rescues.
+class FailoverSolver final : public ForwardingSolver {
  public:
   using SecondaryFactory = std::function<std::unique_ptr<Solver>()>;
 
   /// `secondary` is invoked at most once, on the first rescue attempt; the
   /// built solver inherits the wrapper's current deadline.
   FailoverSolver(std::unique_ptr<Solver> primary, SecondaryFactory secondary)
-      : primary_(std::move(primary)), secondary_factory_(std::move(secondary)) {}
+      : ForwardingSolver(std::move(primary)),
+        secondary_factory_(std::move(secondary)) {}
 
   CheckResult check(std::span<const ExprRef> assertions,
                     Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
   CheckResult check_assuming(std::span<const ExprRef> assumptions,
                              Assignment* model) override;
-  std::string name() const override { return primary_->name() + "+failover"; }
+  std::string name() const override { return inner_->name() + "+failover"; }
   /// The backend that actually decided the last check: the secondary when
   /// that check was rescued, the primary otherwise.
   std::string last_backend() const override {
     return last_rescued_ && secondary_ ? secondary_->last_backend()
-                                       : primary_->last_backend();
+                                       : inner_->last_backend();
   }
-  void set_deadline_ms(uint32_t ms) override;
+  void set_deadline_ms(uint32_t ms) override {
+    ForwardingSolver::set_deadline_ms(ms);
+    if (secondary_) secondary_->set_deadline_ms(ms);
+  }
   /// A cancelled primary check returns kUnknown like a deadline expiry, but
   /// must not trigger a rescue: rescue() observes the sticky flag and
   /// declines, so cancellation wins over failover.
   void cancel() override {
-    Solver::cancel();
-    primary_->cancel();
+    ForwardingSolver::cancel();
     if (secondary_) secondary_->cancel();
   }
   void reset_cancel() override {
-    Solver::reset_cancel();
-    primary_->reset_cancel();
+    ForwardingSolver::reset_cancel();
     if (secondary_) secondary_->reset_cancel();
   }
 
@@ -264,7 +285,6 @@ class FailoverSolver final : public Solver {
   CheckResult rescue(std::span<const ExprRef> assumptions, Assignment* model);
   void refresh_stats();
 
-  std::unique_ptr<Solver> primary_;
   SecondaryFactory secondary_factory_;
   std::unique_ptr<Solver> secondary_;  // built on first rescue
   uint64_t rescues_ = 0;
@@ -278,33 +298,17 @@ class FailoverSolver final : public Solver {
 /// touching the backend, kSolverThrow raises support::FaultInjected as a
 /// stand-in for a crashing backend. Both model real failure modes the
 /// engine must absorb; the robustness tests drive every one of them.
-class FaultInjectingSolver final : public Solver {
+class FaultInjectingSolver final : public ForwardingSolver {
  public:
   FaultInjectingSolver(std::unique_ptr<Solver> inner,
                        std::shared_ptr<support::FaultPlan> plan)
-      : inner_(std::move(inner)), plan_(std::move(plan)) {}
+      : ForwardingSolver(std::move(inner)), plan_(std::move(plan)) {}
 
   CheckResult check(std::span<const ExprRef> assertions,
                     Assignment* model) override;
-  void push() override;
-  void pop() override;
-  void assert_(ExprRef assertion) override;
   CheckResult check_assuming(std::span<const ExprRef> assumptions,
                              Assignment* model) override;
   std::string name() const override { return inner_->name(); }
-  std::string last_backend() const override { return inner_->last_backend(); }
-  void set_deadline_ms(uint32_t ms) override {
-    Solver::set_deadline_ms(ms);
-    inner_->set_deadline_ms(ms);
-  }
-  void cancel() override {
-    Solver::cancel();
-    inner_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    inner_->reset_cancel();
-  }
 
  private:
   /// Fires the solver fault sites; returns true when this check must
@@ -312,7 +316,6 @@ class FaultInjectingSolver final : public Solver {
   bool inject();
   void refresh_stats();
 
-  std::unique_ptr<Solver> inner_;
   std::shared_ptr<support::FaultPlan> plan_;
   uint64_t injected_unknown_ = 0;  // checks degraded without reaching inner_
 };

@@ -807,9 +807,6 @@ TEST_F(PortfolioEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
   const std::string store_dir = smt::fresh_dir("collision");
   core::Program program = load_asm(kThreeBranchGuest);
   core::EngineOptions options;
-  // No model-reuse pre-check: a rejected store hit must fall through to the
-  // backend, so the assertion below can observe the fallback directly.
-  options.presolve_models = false;
   options.solver_store = smt::SolverStore::open(store_dir);
   Exploration cold = explore(program, SolverSetup::kPlain, options);
   EXPECT_GT(cold.stats.store_entries, 0u);

@@ -279,34 +279,27 @@ TEST_P(SliceDeterminism, PathSetInvariantUnderSolverOptimizations) {
   core::EngineOptions baseline;
   baseline.incremental_solving = false;
   baseline.slice_queries = false;
-  baseline.presolve_models = false;
   Exploration reference = explore(program, baseline);
   EXPECT_EQ(reference.paths, expected) << "Table I count (all opts off)";
   EXPECT_EQ(reference.paths, reference.path_keys.size());
 
   struct Config {
     const char* name;
-    bool incremental, slice, presolve;
+    bool incremental, slice;
     unsigned jobs;
     bool cache = true;
   };
   const Config configs[] = {
-      {"slice only", false, true, false, 1},
-      {"incremental only", true, false, false, 1},
-      {"presolve only", false, false, true, 1},
-      // Without the cache in front, the model-reuse pre-check answers
-      // thousands of flips itself — the heaviest exercise of the pooled
-      // models' soundness (verdict must match the scheduled seed).
-      {"presolve only, no cache", false, false, true, 1, false},
-      {"slice+presolve, no cache", false, true, true, 1, false},
-      {"all on", true, true, true, 1},
-      {"all on, 4 jobs", true, true, true, 4},
+      {"slice only", false, true, 1},
+      {"slice only, no cache", false, true, 1, false},
+      {"incremental only", true, false, 1},
+      {"all on", true, true, 1},
+      {"all on, 4 jobs", true, true, 4},
   };
   for (const Config& config : configs) {
     core::EngineOptions options;
     options.incremental_solving = config.incremental;
     options.slice_queries = config.slice;
-    options.presolve_models = config.presolve;
     options.jobs = config.jobs;
     options.cache_queries = config.cache;
     Exploration run = explore(program, options);

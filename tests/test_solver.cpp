@@ -1,10 +1,9 @@
-// Tests for the solver stack: Z3 backend, model extraction, the query
-// cache and the validating wrapper.
+// Tests for the solver stack: Z3 backend, model extraction, query-cache
+// keys, the model check and the solver wrappers.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "smt/cache.hpp"
@@ -72,33 +71,34 @@ TEST(Z3Solver, WideWidths) {
   }
 }
 
-TEST(CachingSolver, HitsOnRepeatedQueries) {
+TEST(QueryCache, KeyIgnoresOrderDuplicatesAndTrueAssertions) {
   Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
-  ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
-
-  Assignment m1, m2;
-  EXPECT_EQ(cache.check(query, &m1), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 0u);
-  EXPECT_EQ(cache.check(query, &m2), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 1u);
-  EXPECT_EQ(m1.get(x->var_id), m2.get(x->var_id));  // cached model replayed
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CachingSolver, KeyIgnoresOrderDuplicatesAndTrueAssertions) {
-  Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
   ExprRef x = ctx.var("x", 8);
   ExprRef a = ctx.ult(x, ctx.constant(10, 8));
   ExprRef b = ctx.ugt(x, ctx.constant(3, 8));
 
   std::vector<ExprRef> q1 = {a, b};
   std::vector<ExprRef> q2 = {b, a, a, ctx.bool_const(true)};
-  EXPECT_EQ(cache.check(q1, nullptr), CheckResult::kSat);
-  EXPECT_EQ(cache.check(q2, nullptr), CheckResult::kSat);
-  EXPECT_EQ(cache.stats().cache_hits, 1u);
+  EXPECT_EQ(QueryCache::key_for(q1), QueryCache::key_for(q2));
+  std::vector<ExprRef> q3 = {a};
+  EXPECT_NE(QueryCache::key_for(q1), QueryCache::key_for(q3));
+}
+
+TEST(QueryCache, ScopedKeyEqualsStatelessKey) {
+  // The canonical key of scoped ∧ assumptions equals the stateless key of
+  // the same conjunction, however the assertions are split.
+  Context ctx;
+  ExprRef x = ctx.var("x", 8);
+  ExprRef a = ctx.ult(x, ctx.constant(10, 8));
+  ExprRef b = ctx.ugt(x, ctx.constant(3, 8));
+
+  std::vector<ExprRef> scoped = {a};
+  std::vector<ExprRef> assumption = {b};
+  std::vector<ExprRef> conjunction = {a, b};
+  EXPECT_EQ(QueryCache::key_for(scoped, assumption),
+            QueryCache::key_for(conjunction));
+  EXPECT_EQ(QueryCache::key_for({}, conjunction),
+            QueryCache::key_for(conjunction));
 }
 
 TEST(ValidatingSolver, PassesThroughCorrectModels) {
@@ -114,9 +114,10 @@ TEST(ValidatingSolver, PassesThroughCorrectModels) {
 
 TEST(QueryCache, RepeatedPrefixQuerySequenceHits) {
   // The engine's characteristic query stream: growing prefixes re-checked
-  // across sibling flips. Pin the exact hit/miss accounting.
+  // across sibling flips, each miss answered and inserted. Pin the exact
+  // hit/miss sequence and that a hit replays the stored entry.
   Context ctx;
-  CachingSolver cache(make_z3_solver(ctx));
+  QueryCache cache;
   ExprRef x = ctx.var("x", 8);
   ExprRef a = ctx.ult(x, ctx.constant(100, 8));
   ExprRef b = ctx.ugt(x, ctx.constant(10, 8));
@@ -128,81 +129,39 @@ TEST(QueryCache, RepeatedPrefixQuerySequenceHits) {
       {a},                     // back at the root: hit
       {a, b, c},               // deepest prefix again: hit
   };
-  for (const auto& query : stream)
-    EXPECT_EQ(cache.check(query, nullptr), CheckResult::kSat);
-
-  EXPECT_EQ(cache.stats().cache_hits, 3u);
-  EXPECT_EQ(cache.stats().cache_misses, 3u);
-  EXPECT_EQ(cache.stats().queries, 6u);
-  EXPECT_EQ(cache.cache().hits(), 3u);
-  EXPECT_EQ(cache.cache().misses(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  // The inner backend only ever saw the misses.
-  EXPECT_EQ(cache.inner().stats().queries, 3u);
-}
-
-TEST(QueryCache, SharedAcrossSolversOverOneContext) {
-  Context ctx;
-  auto shared = std::make_shared<QueryCache>(/*shards=*/4);
-  CachingSolver first(make_z3_solver(ctx), shared);
-  CachingSolver second(make_z3_solver(ctx), shared);
-  ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
-
-  Assignment m1, m2;
-  EXPECT_EQ(first.check(query, &m1), CheckResult::kSat);
-  EXPECT_EQ(second.check(query, &m2), CheckResult::kSat);
-  // The second solver answered from the first solver's work.
-  EXPECT_EQ(second.stats().cache_hits, 1u);
-  EXPECT_EQ(second.inner().stats().queries, 0u);
-  EXPECT_EQ(m1.get(x->var_id), m2.get(x->var_id));
-  EXPECT_EQ(shared->hits(), 1u);
-  EXPECT_EQ(shared->misses(), 1u);
-}
-
-TEST(QueryCache, ConcurrentLookupsAndInsertsAreConsistent) {
-  QueryCache cache(/*shards=*/8);
-  constexpr int kThreads = 4;
-  constexpr uint32_t kKeys = 64;
-  constexpr int kRounds = 200;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&cache] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (uint32_t k = 0; k < kKeys; ++k) {
-          QueryCache::Key key = {k, k + 1000};
-          QueryCache::Entry entry;
-          if (!cache.lookup(key, &entry)) {
-            entry.result = CheckResult::kSat;
-            entry.model.set(k, k);
-            cache.insert(key, entry);
-          } else {
-            EXPECT_EQ(entry.result, CheckResult::kSat);
-            EXPECT_EQ(entry.model.get(k), k);
-          }
-        }
-      }
-    });
+  std::vector<bool> hits;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    QueryCache::Key key = QueryCache::key_for(stream[i]);
+    QueryCache::Entry entry;
+    hits.push_back(cache.lookup(key, &entry));
+    if (hits.back()) {
+      EXPECT_EQ(entry.result, CheckResult::kSat);
+      EXPECT_EQ(entry.model.get(x->var_id), stream[i].size());
+    } else {
+      entry.result = CheckResult::kSat;
+      entry.model.set(x->var_id, stream[i].size());
+      cache.insert(key, entry);
+    }
   }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(cache.size(), kKeys);
-  EXPECT_EQ(cache.hits() + cache.misses(),
-            static_cast<uint64_t>(kThreads) * kRounds * kKeys);
-  EXPECT_GE(cache.misses(), kKeys);  // at least one miss per distinct key
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(hits, std::vector<bool>({false, false, false, true, true, true}));
 }
 
 // -- Scoped (incremental) API: native Z3, adapter-backed bitblast, and the
 // -- wrappers, all against the same script. ----------------------------------
 
-using SolverFactory = std::unique_ptr<Solver> (*)(Context&);
+// A named factory. The name is what gtest prints for the parameter, so the
+// test names are stable across builds instead of carrying a code address.
+struct Backend {
+  const char* name;
+  std::unique_ptr<Solver> (*make)(Context&);
+};
+void PrintTo(const Backend& backend, std::ostream* os) { *os << backend.name; }
 
-class ScopedSolverApi : public ::testing::TestWithParam<SolverFactory> {};
+class ScopedSolverApi : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(ScopedSolverApi, PrefixAssertedOnceAnswersEveryAssumption) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   ExprRef x = ctx.var("x", 8);
   ExprRef y = ctx.var("y", 8);
 
@@ -235,7 +194,7 @@ TEST_P(ScopedSolverApi, PrefixAssertedOnceAnswersEveryAssumption) {
 
 TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   ExprRef x = ctx.var("x", 8);
 
   solver->push();
@@ -255,7 +214,7 @@ TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
 
 TEST_P(ScopedSolverApi, PopWithoutPushThrows) {
   Context ctx;
-  auto solver = GetParam()(ctx);
+  auto solver = GetParam().make(ctx);
   EXPECT_THROW(solver->pop(), std::logic_error);
 }
 
@@ -267,38 +226,13 @@ std::unique_ptr<Solver> bitblast(Context& ctx) {
 std::unique_ptr<Solver> validating_z3(Context& ctx) {
   return std::make_unique<ValidatingSolver>(make_z3_solver(ctx));
 }
-std::unique_ptr<Solver> caching_z3(Context& ctx) {
-  return std::make_unique<CachingSolver>(make_z3_solver(ctx));
-}
 }  // namespace factories
 
 INSTANTIATE_TEST_SUITE_P(Backends, ScopedSolverApi,
-                         ::testing::Values(&factories::z3, &factories::bitblast,
-                                           &factories::validating_z3,
-                                           &factories::caching_z3));
-
-TEST(CachingSolver, IncrementalChecksShareKeysWithStatelessChecks) {
-  // The canonical key of scoped ∧ assumptions equals the stateless key of
-  // the same conjunction, so entries are shared between both styles.
-  Context ctx;
-  auto cache = std::make_shared<QueryCache>(/*shards=*/2);
-  CachingSolver incremental(make_z3_solver(ctx), cache);
-  CachingSolver stateless(make_z3_solver(ctx), cache);
-  ExprRef x = ctx.var("x", 8);
-  ExprRef a = ctx.ult(x, ctx.constant(10, 8));
-  ExprRef b = ctx.ugt(x, ctx.constant(3, 8));
-
-  incremental.push();
-  incremental.assert_(a);
-  std::vector<ExprRef> assumption = {b};
-  EXPECT_EQ(incremental.check_assuming(assumption, nullptr), CheckResult::kSat);
-  incremental.pop();
-
-  std::vector<ExprRef> conjunction = {a, b};
-  EXPECT_EQ(stateless.check(conjunction, nullptr), CheckResult::kSat);
-  EXPECT_EQ(stateless.stats().cache_hits, 1u);
-  EXPECT_EQ(stateless.inner().stats().queries, 0u);
-}
+                         ::testing::Values(
+                             Backend{"z3", &factories::z3},
+                             Backend{"bitblast", &factories::bitblast},
+                             Backend{"validating_z3", &factories::validating_z3}));
 
 TEST(ValidatingSolver, ValidatesScopedAssertionsToo) {
   Context ctx;
@@ -314,6 +248,27 @@ TEST(ValidatingSolver, ValidatesScopedAssertionsToo) {
   validating.pop();
 }
 
+TEST(Satisfies, ChecksEveryAssertionUnderTheModel) {
+  Context ctx;
+  ExprRef x = ctx.var("x", 8);
+  ExprRef y = ctx.var("y", 8);
+  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8)),
+                                ctx.eq(y, ctx.add(x, ctx.constant(1, 8)))};
+  Assignment model;
+  model.set(x->var_id, 4);
+  model.set(y->var_id, 5);
+  EXPECT_TRUE(satisfies(query, model));  // sat
+  model.set(y->var_id, 6);
+  EXPECT_FALSE(satisfies(query, model));  // second assertion fails
+  // A missing variable reads 0: x = 0 needs y = 1.
+  Assignment only_y;
+  only_y.set(y->var_id, 1);
+  EXPECT_TRUE(satisfies(query, only_y));
+  EXPECT_FALSE(satisfies(query, Assignment{}));
+  // The empty conjunction is true under any model.
+  EXPECT_TRUE(satisfies({}, Assignment{}));
+}
+
 TEST(Assignment, DefaultsToZero) {
   Assignment a;
   EXPECT_EQ(a.get(123), 0u);
@@ -326,22 +281,6 @@ TEST(Assignment, DefaultsToZero) {
 // StubSolver (solver_test_util.hpp) stands in for a backend that gives up
 // (deadline hit) or crashes outright. check_assuming() goes through the
 // base-class adapter, so it funnels into check() there.
-
-TEST(CachingSolver, UnknownVerdictsAreNeverCached) {
-  // A deadline-induced unknown must not poison the cache: the same query
-  // re-asked later (more time, another backend) must reach a backend again.
-  Context ctx;
-  CachingSolver cache(std::make_unique<StubSolver>(StubSolver::Mode::kUnknown));
-  ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query = {ctx.ult(x, ctx.constant(10, 8))};
-
-  EXPECT_EQ(cache.check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(cache.stats().cache_hits, 0u);
-  EXPECT_EQ(cache.stats().cache_misses, 2u);
-  EXPECT_EQ(cache.inner().stats().queries, 2u);  // both reached the backend
-}
 
 TEST(FailoverSolver, SecondaryRescuesUnknownPrimary) {
   Context ctx;

@@ -163,8 +163,6 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
   stats.divergences = 17;
   stats.max_branch_depth = 18;
   stats.peak_frontier = 19;
-  stats.presolve_hits = 20;
-  stats.presolve_misses = 21;
   stats.sliced_constraints = 22;
   stats.query_nodes_total = 23;
   stats.query_nodes_max = 24;
@@ -218,8 +216,8 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
       "paths=11",          "failures=12",        "instructions=13",
       "workers=3",         "attempted=14",       "feasible=15",
       "infeasible=16",     "divergences=17",     "max-depth=18",
-      "peak-frontier=19",  "presolve-hits=20",   "presolve-misses=21",
-      "sliced-out=22",     "total=23",           "max=24",
+      "peak-frontier=19",  "sliced-out=22",
+      "total=23",          "max=24",
       "hits=25",           "misses=26",          "captures=27",
       "evictions=28",      "pages-copied=29",    "findings=30",
       "dupes=31",          "candidates=32",      "feasible=33",

@@ -17,7 +17,9 @@
 #
 # Known bug set (pinned by tests/test_oracles.cpp):
 #   { assert-fail @ the stub ecall, depth 2; reach @ the stub ecall, depth 2 }.
-# Paths: 6 (clamp arm x handler arm, minus infeasible combinations).
+# Paths: 4 (clamp arm x handler arm; all four combinations are feasible —
+# the handler's sum == 444 is reachable on both clamp arms, e.g. a' = 199,
+# b = 245).
 
         .text
         .global main
