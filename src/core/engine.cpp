@@ -399,15 +399,17 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     //
     // Every flip of this trace shares the prefix conjunction with its
     // successors (flip i+1's prefix is flip i's plus one constraint), so
-    // the prefix is grown once, incrementally — appended to `prefix` for
-    // slicing and cache keys, and asserted into the solver's scope so each
-    // check only ships the negated branch as an assumption.
+    // the prefix is grown once, incrementally, in `prefix` for slicing and
+    // cache keys. The solver scope opens lazily: only a flip that misses
+    // both the cache and the store opens it and asserts the prefix grown
+    // since the last such flip, then ships just the negated branch as an
+    // assumption. A trace whose flips are all answered without the backend
+    // never touches the solver's assertion stack.
     prefix.clear();
     size_t next_branch = 0;      // prefix branches appended so far
     size_t next_assumption = 0;  // trace assumptions appended so far
+    size_t asserted = 0;         // prefix constraints asserted into `scope`
     std::optional<SolverScope> scope;
-    if (incremental && job.bound < trace.branches.size())
-      scope.emplace(solver);
 
     for (size_t i = job.bound; i < trace.branches.size(); ++i) {
       // Once the exploration is stopped (budget hit, worker error) the
@@ -419,16 +421,11 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       // as-taken form plus the assumptions made up to the flip point.
       while (next_branch < i) {
         const BranchRecord& b = trace.branches[next_branch++];
-        smt::ExprRef constraint = b.taken ? b.cond : ctx.not_(b.cond);
-        prefix.push_back(constraint);
-        if (incremental) solver.assert_(constraint);
+        prefix.push_back(b.taken ? b.cond : ctx.not_(b.cond));
       }
       while (next_assumption < trace.assumptions.size() &&
-             trace.assumptions[next_assumption].branch_index <= i) {
-        smt::ExprRef constraint = trace.assumptions[next_assumption++].expr;
-        prefix.push_back(constraint);
-        if (incremental) solver.assert_(constraint);
-      }
+             trace.assumptions[next_assumption].branch_index <= i)
+        prefix.push_back(trace.assumptions[next_assumption++].expr);
       const BranchRecord& flip = trace.branches[i];
       smt::ExprRef negated = flip.taken ? ctx.not_(flip.cond) : flip.cond;
       ++local.flip_attempts;
@@ -544,6 +541,11 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         }
       }
       if (!answered) {
+        if (incremental) {
+          if (!scope) scope.emplace(solver);
+          for (; asserted < prefix.size(); ++asserted)
+            solver.assert_(prefix[asserted]);
+        }
         const auto solve_start = std::chrono::steady_clock::now();
         result = incremental
                      ? solver.check_assuming(std::span(&negated, 1), &model)

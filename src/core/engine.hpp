@@ -66,9 +66,10 @@ struct EngineOptions {
   // -- Solver-pipeline optimizations (independently toggleable; the path
   // set an exploration discovers is invariant under all of them, so the
   // ablation bench can isolate each one's cost effect).
-  /// Assert a trace's branch-prefix constraints once per trace via the
-  /// solver's scoped API and check each flip as an assumption, instead of
-  /// re-sending the whole conjunction per flip.
+  /// Assert a trace's branch-prefix constraints at most once per trace via
+  /// the solver's scoped API and check each flip as an assumption, instead
+  /// of re-sending the whole conjunction per flip. The scope opens, and
+  /// the prefix is asserted, only as far as flips reach the backend.
   bool incremental_solving = true;
   /// Constraint-independence slicing: send only the prefix constraints
   /// variable-connected to the negated branch (see smt/slice.hpp).

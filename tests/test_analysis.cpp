@@ -154,22 +154,34 @@ TEST_F(AnalysisTest, PruningPreservesPathsAndFindingsAcrossSearchAndJobs) {
 }
 
 TEST_F(AnalysisTest, PruningPreservesCappedSequentialExploration) {
-  // Table I workloads are too big to exhaust here; under a path cap the
-  // explored subset is schedule-defined, so compare prune on/off within
-  // each fixed sequential schedule.
+  // Which paths a capped run reaches depends on the solver's models, and Z3
+  // models depend on the context's AST-creation history: with pruning off
+  // the engine translates extra oracle-candidate conditions, which shifts
+  // later flip models. So a capped path *set* is not comparable across
+  // prune on/off. Clif-parser, uri-parser and bubble-sort explore to
+  // exhaustion in about a second each, which makes their path set an
+  // invariant of the program; base64 (13 s with pruning off) and insertion
+  // (about 3 s) stay capped, and there only the path count and the findings
+  // are compared.
   for (const workloads::WorkloadInfo& info : workloads::table1_workloads()) {
-    core::Program program =
-        workloads::load_workload_or_exit(table, info.name);
+    const std::string name = info.name;
+    const bool exhaust = name == "clif-parser" || name == "uri-parser" ||
+                         name == "bubble-sort";
+    core::Program program = workloads::load_workload_or_exit(table, name);
     bench::EngineSetup setup{decoder, registry, program};
     analysis::StaticAnalysis sa = analyze(setup);
 
     for (core::SearchKind search :
          {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-      Exploration off = explore(setup, sa, false, search, 1, 60);
-      Exploration on = explore(setup, sa, true, search, 1, 60);
-      EXPECT_EQ(on.path_keys, off.path_keys) << info.name;
-      EXPECT_EQ(on.findings, off.findings) << info.name;
-      EXPECT_EQ(on.stats.paths, off.stats.paths) << info.name;
+      const uint64_t cap = exhaust ? UINT64_MAX : 60;
+      Exploration off = explore(setup, sa, false, search, 1, cap);
+      Exploration on = explore(setup, sa, true, search, 1, cap);
+      if (exhaust) {
+        EXPECT_EQ(on.path_keys, off.path_keys) << name;
+        EXPECT_EQ(off.stats.paths, info.paper_paths) << name;
+      }
+      EXPECT_EQ(on.findings, off.findings) << name;
+      EXPECT_EQ(on.stats.paths, off.stats.paths) << name;
     }
   }
 }

@@ -1,8 +1,12 @@
 // Cross-engine integration tests on the shipped evaluation workloads
 // (reduced path budgets keep them fast): the Table I property that every
-// correct engine discovers the same execution paths, and the workload
-// loader plumbing itself.
+// correct engine discovers the same execution paths, the workload loader
+// plumbing itself, and how the engine drives the solver's scoped API.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <ostream>
+#include <span>
 
 #include "baseline/ir_exec.hpp"
 #include "core/engine.hpp"
@@ -129,6 +133,118 @@ TEST_F(IntegrationTest, WorkloadOutputsAreWellFormedBase64) {
     }
   });
 }
+
+// -- The lazily opened flip scope. -------------------------------------------
+
+/// Forwards to a real backend and counts the scoped-API calls since the
+/// last reset of `counts`.
+class CountingSolver final : public smt::ForwardingSolver {
+ public:
+  struct Counts {
+    uint64_t push = 0, pop = 0, asserts = 0, backend_checks = 0;
+    size_t scoped_at_last_check = 0;  // live scoped assertions then
+  };
+
+  using ForwardingSolver::ForwardingSolver;
+
+  void push() override {
+    ++counts.push;
+    ForwardingSolver::push();
+  }
+  void pop() override {
+    ++counts.pop;
+    ForwardingSolver::pop();
+  }
+  void assert_(smt::ExprRef assertion) override {
+    ++counts.asserts;
+    ForwardingSolver::assert_(assertion);
+  }
+  smt::CheckResult check(std::span<const smt::ExprRef> assertions,
+                         smt::Assignment* model) override {
+    smt::CheckResult result = inner_->check(assertions, model);
+    stats_ = inner_->stats();
+    return result;
+  }
+  smt::CheckResult check_assuming(std::span<const smt::ExprRef> assumptions,
+                                  smt::Assignment* model) override {
+    ++counts.backend_checks;
+    counts.scoped_at_last_check = scoped_assertions().size();
+    smt::CheckResult result = inner_->check_assuming(assumptions, model);
+    stats_ = inner_->stats();
+    return result;
+  }
+  std::string name() const override { return inner_->name(); }
+
+  Counts counts;
+};
+
+struct LazyScopeCase {
+  const char* workload;
+  // Model-independent scoped-API totals of the default configuration.
+  uint64_t incremental_checks;
+  uint64_t reused_assertions;
+};
+void PrintTo(const LazyScopeCase& c, std::ostream* os) { *os << c.workload; }
+
+class LazyScope : public IntegrationTest,
+                  public ::testing::WithParamInterface<LazyScopeCase> {};
+
+TEST_P(LazyScope, SolverScopeOpensOnlyForFlipsThatReachTheBackend) {
+  // With one worker, the path callback of trace k+1 fires after trace k's
+  // flip loop and before trace k+1's, so the solver calls between two
+  // callbacks are exactly one trace's.
+  const LazyScopeCase& param = GetParam();
+  core::Program program = workloads::load_workload(table, param.workload);
+  smt::Context ctx;
+  core::BinSymExecutor executor(ctx, decoder, registry, program);
+  auto owned = std::make_unique<CountingSolver>(smt::make_z3_solver(ctx));
+  CountingSolver* solver = owned.get();
+  core::DseEngine engine(executor, std::move(owned));
+
+  uint64_t prefix_len = 0;  // branches + assumptions of the counted trace
+  uint64_t quiet_traces = 0, solving_traces = 0;
+  uint64_t quiet_violations = 0, scope_violations = 0, reasserted = 0;
+  bool counting = false;
+  auto close_trace = [&] {
+    const CountingSolver::Counts& c = solver->counts;
+    if (c.backend_checks == 0) {
+      // Every flip answered by the cache (or nothing to flip): the
+      // assertion stack is never touched.
+      ++quiet_traces;
+      if (c.push + c.pop + c.asserts != 0) ++quiet_violations;
+    } else {
+      ++solving_traces;
+      if (c.push != 1 || c.pop != 1) ++scope_violations;
+      // The scope lives for the whole trace, so an assertion count equal
+      // to the scope size at the last check means none was repeated.
+      if (c.asserts != c.scoped_at_last_check || c.asserts > prefix_len)
+        ++reasserted;
+    }
+    solver->counts = {};
+  };
+  core::EngineStats stats = engine.explore([&](const core::PathResult& path) {
+    if (counting) close_trace();
+    counting = true;
+    prefix_len = path.trace.branches.size() + path.trace.assumptions.size();
+  });
+  close_trace();
+
+  EXPECT_GT(quiet_traces, 0u);
+  EXPECT_GT(solving_traces, 0u);
+  EXPECT_EQ(quiet_violations, 0u);
+  EXPECT_EQ(scope_violations, 0u);
+  EXPECT_EQ(reasserted, 0u);
+  EXPECT_EQ(stats.solver.incremental_checks, param.incremental_checks);
+  EXPECT_EQ(stats.solver.reused_assertions, param.reused_assertions);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table1, LazyScope,
+    ::testing::Values(LazyScopeCase{"base64-encode", 638, 6941},
+                      LazyScopeCase{"bubble-sort", 2172, 24599},
+                      LazyScopeCase{"clif-parser", 31, 465},
+                      LazyScopeCase{"insertion-sort", 5039, 65054},
+                      LazyScopeCase{"uri-parser", 84, 2007}));
 
 }  // namespace
 }  // namespace binsym

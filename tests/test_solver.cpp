@@ -212,6 +212,40 @@ TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
   EXPECT_EQ(solver->num_scopes(), 0u);
 }
 
+TEST_P(ScopedSolverApi, StatelessChecksAroundAScopeStayIsolated) {
+  // The engine's interleaving: a trace's oracle candidates go through the
+  // stateless check() before its flip scope opens, and the next trace's
+  // candidates follow that scope's pop().
+  Context ctx;
+  auto solver = GetParam().make(ctx);
+  ExprRef x = ctx.var("x", 8);
+  std::vector<ExprRef> candidate = {ctx.eq(x, ctx.constant(200, 8))};
+  EXPECT_EQ(solver->check(candidate, nullptr), CheckResult::kSat);
+
+  // Had x == 200 stayed asserted, both scoped checks would be unsat.
+  std::vector<ExprRef> flip = {ctx.ugt(x, ctx.constant(5, 8))};
+  solver->push();
+  solver->assert_(ctx.ult(x, ctx.constant(10, 8)));
+  Assignment model;
+  ASSERT_EQ(solver->check_assuming(flip, &model), CheckResult::kSat);
+  EXPECT_GT(model.get(x->var_id), 5u);
+  EXPECT_LT(model.get(x->var_id), 10u);
+  solver->pop();
+
+  // The popped x < 10 is invisible to the next stateless check ...
+  Assignment after;
+  ASSERT_EQ(solver->check(candidate, &after), CheckResult::kSat);
+  EXPECT_EQ(after.get(x->var_id), 200u);
+
+  // ... and that check leaves nothing behind for the next scope.
+  solver->push();
+  solver->assert_(ctx.ugt(x, ctx.constant(250, 8)));
+  EXPECT_EQ(solver->check_assuming(flip, &model), CheckResult::kSat);
+  EXPECT_GT(model.get(x->var_id), 250u);
+  solver->pop();
+  EXPECT_EQ(solver->num_scopes(), 0u);
+}
+
 TEST_P(ScopedSolverApi, PopWithoutPushThrows) {
   Context ctx;
   auto solver = GetParam().make(ctx);
