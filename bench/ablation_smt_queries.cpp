@@ -3,25 +3,23 @@
 // Two questions share this harness. The paper's future-work question
 // (Sect. V-B): does translating through formal ISA semantics change SMT
 // query complexity compared to an IR-based translation? And this repo's
-// own: how much of the per-flip solver cost do the two solver-pipeline
-// optimizations (incremental prefix solving, constraint-independence
-// slicing) remove, each on its own layer?
+// own: what do expression interning and the backend layer change about the
+// per-flip solver cost?
 //
 // For every Table I workload the harness explores with BinSym (DSL
-// semantics) and the BINSEC-like engine (lifter IR) under a cumulative
-// sweep {baseline, +incremental, +slice} — plus a "no-intern" row
-// re-running the full pipeline with expression hash-consing disabled
+// semantics) and the BINSEC-like engine (lifter IR) under the "default"
+// flip pipeline (sliced query, cache, scoped solver) — plus a "no-intern"
+// row re-running it with expression hash-consing disabled
 // (smt/context.hpp) — and measures the *effective* branch-flip queries:
-// distinct DAG nodes per query (sliced queries shrink), cumulative solver
-// seconds and cache hits. Path counts are printed so every
-// row doubles as a determinism check — they must not move across
-// configurations, the intern toggle included.
+// distinct DAG nodes per query, cumulative solver seconds and cache hits.
+// Path counts are printed so every row doubles as a determinism check —
+// they must not move across configurations, the intern toggle included.
 //
 // Two backend-layer rows extend the sweep (see docs/SOLVERS.md): a
-// "portfolio" row re-running the full pipeline with the racing solver
+// "portfolio" row re-running the default pipeline with the racing solver
 // portfolio (path counts must not move — the race may only change who
 // answers, never what is explored), and a "persistent" row running the
-// full pipeline twice over one content-addressed solver store — the
+// default pipeline twice over one content-addressed solver store — the
 // reported stats are the warm second run, and on the query-heavy
 // base64-encode/uri-parser workloads the warm run must issue at least 5x
 // fewer backend checks than its cold twin while exploring the identical
@@ -44,24 +42,21 @@ namespace {
 
 struct Config {
   const char* name;
-  bool incremental, slice, intern;
+  bool intern = true;
   bool portfolio = false;   // race z3 + bitblast per query
   bool persistent = false;  // cold + warm pair over one solver store
 };
 
-// Cumulative: each stage adds one optimization to the previous stage, so
-// "+slice" is the full default pipeline. The "no-intern" row re-runs it
-// with expression hash-consing off (the legacy fresh-node-per-call
-// allocator), isolating how much of the query DAG size the intern arena's
-// structural sharing removes; the "portfolio" and "persistent" rows swap
-// the backend layer under it (docs/SOLVERS.md).
+// "default" is the exploration every other row is compared against. The
+// "no-intern" row re-runs it with expression hash-consing off (the legacy
+// fresh-node-per-call allocator), isolating how much of the query DAG size
+// the intern arena's structural sharing removes; the "portfolio" and
+// "persistent" rows swap the backend layer under it (docs/SOLVERS.md).
 constexpr Config kConfigs[] = {
-    {"baseline", false, false, true},
-    {"+incremental", true, false, true},
-    {"+slice", true, true, true},
-    {"no-intern", true, true, false},
-    {"portfolio", true, true, true, /*portfolio=*/true},
-    {"persistent", true, true, true, false, /*persistent=*/true},
+    {"default"},
+    {"no-intern", /*intern=*/false},
+    {"portfolio", true, /*portfolio=*/true},
+    {"persistent", true, false, /*persistent=*/true},
 };
 
 /// Checks the backend actually ran: queries it neither answered from the
@@ -80,8 +75,6 @@ core::EngineStats measure(const std::string& engine,
                           core::EngineStats* cold_out) {
   core::EngineOptions options;
   options.max_paths = max_paths;
-  options.incremental_solving = config.incremental;
-  options.slice_queries = config.slice;
   options.intern_exprs = config.intern;
   options.measure_query_nodes = true;
 
@@ -120,7 +113,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "ABLATION: SMT QUERY COMPLEXITY — translation strategy x solver "
-      "pipeline {baseline, +incremental, +slice, no-intern}%s\n",
+      "pipeline {default, no-intern, portfolio, persistent}%s\n",
       quick ? " (quick)" : "");
   std::printf("%-16s %-8s %-13s %8s %8s %10s %9s %10s %10s\n", "Benchmark",
               "engine", "config", "paths", "queries", "avg nodes", "max nodes",
@@ -132,20 +125,21 @@ int main(int argc, char** argv) {
     bench::EngineSetup setup{decoder, registry, program};
 
     for (const char* engine : {"binsym", "binsec"}) {
-      uint64_t baseline_paths = 0;
-      uint64_t interned_nodes_total = 0;  // "+slice" row (intern on)
+      uint64_t default_paths = 0;
+      uint64_t interned_nodes_total = 0;  // "default" row (intern on)
       for (const Config& config : kConfigs) {
         core::EngineStats cold{};
         core::EngineStats s =
             measure(engine, setup, config, max_paths,
                     info.name + "-" + engine, &cold);
-        if (!config.incremental && !config.slice) baseline_paths = s.paths;
-        // Determinism guard: the optimizations may only change cost, never
-        // the explored path set's size. The intern toggle is held to the
-        // same bar — hash-consing must be purely representational.
-        if (s.paths != baseline_paths) ++failures;
-        if (std::strcmp(config.name, "+slice") == 0)
+        // Determinism guard: no row may change the explored path set's
+        // size. The intern toggle is held to the same bar — hash-consing
+        // must be purely representational.
+        if (&config == &kConfigs[0]) {
+          default_paths = s.paths;
           interned_nodes_total = s.query_nodes_total;
+        }
+        if (s.paths != default_paths) ++failures;
         // Sharing guard: the legacy allocator duplicates structurally equal
         // nodes (re-read bytes, re-minted constants), so on the byte-heavy
         // workloads the interned pipeline must ship strictly smaller query
@@ -165,7 +159,7 @@ int main(int argc, char** argv) {
         // count, and on the query-heavy workloads the store must absorb at
         // least 80% of the backend traffic a restart would otherwise repay.
         if (config.persistent) {
-          if (cold.paths != baseline_paths) ++failures;
+          if (cold.paths != default_paths) ++failures;
           if ((info.name == "base64-encode" || info.name == "uri-parser") &&
               5 * backend_calls(s) > backend_calls(cold)) {
             std::printf(
@@ -190,7 +184,7 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(s.query_nodes_max),
             s.solver.solve_seconds,
             static_cast<unsigned long long>(s.solver.cache_hits),
-            s.paths != baseline_paths ? "  <- PATH-COUNT DRIFT" : "");
+            s.paths != default_paths ? "  <- PATH-COUNT DRIFT" : "");
         if (json) {
           std::fprintf(
               json,
@@ -220,17 +214,15 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nNotes: identical expression layer + folding on both engines, so "
-      "equal node counts answer the paper's open question; the config sweep "
-      "is cumulative, and `avg nodes` drops at +slice because sliced-out "
-      "constraints leave the query. The no-intern row re-runs +slice with "
-      "hash-consing off; paths must not move and query nodes must not "
-      "shrink. The portfolio row races z3 + bitblast per query; the "
-      "persistent row is the warm second run over a solver store its cold "
-      "twin populated (docs/SOLVERS.md) — on base64-encode/uri-parser the "
-      "warm run must issue >=5x fewer backend calls. JSON lines: "
-      "BENCH_smt_queries.json\n");
+      "equal node counts answer the paper's open question. The no-intern "
+      "row re-runs the default pipeline with hash-consing off; paths must "
+      "not move and query nodes must not shrink. The portfolio row races "
+      "z3 + bitblast per query; the persistent row is the warm second run "
+      "over a solver store its cold twin populated (docs/SOLVERS.md) — on "
+      "base64-encode/uri-parser the warm run must issue >=5x fewer "
+      "backend calls. JSON lines: BENCH_smt_queries.json\n");
   if (failures) {
-    std::printf("FAIL: %d configuration(s) drifted from the baseline path "
+    std::printf("FAIL: %d configuration(s) drifted from the default path "
                 "count\n", failures);
     return 1;
   }

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
         core::EngineOptions options;
         options.max_paths = max_paths;
         options.jobs = jobs;
-        options.snapshots = snapshots;
+        if (!snapshots) options.snapshot_budget = 0;
         core::EngineStats s = bench::explore_parallel(engine, setup, options);
 
         if (!snapshots) {

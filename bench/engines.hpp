@@ -318,22 +318,13 @@ inline unsigned parse_jobs_arg(const char* arg) {
   return std::max(1u, static_cast<unsigned>(std::strtoul(arg, nullptr, 0)));
 }
 
-/// Solver-pipeline optimization toggles, shared by every harness:
-/// --no-incremental, --no-slice, --no-cache and --no-intern. Returns false
-/// when `arg` is none of them.
+/// Expression-layer toggle, shared by every harness: --no-intern (fresh
+/// expression nodes per builder call instead of hash-consing). Returns
+/// false when `arg` is anything else.
 inline bool parse_solver_opt_flag(const char* arg,
                                   core::EngineOptions* options) {
-  if (std::strcmp(arg, "--no-incremental") == 0) {
-    options->incremental_solving = false;
-  } else if (std::strcmp(arg, "--no-slice") == 0) {
-    options->slice_queries = false;
-  } else if (std::strcmp(arg, "--no-cache") == 0) {
-    options->cache_queries = false;
-  } else if (std::strcmp(arg, "--no-intern") == 0) {
-    options->intern_exprs = false;
-  } else {
-    return false;
-  }
+  if (std::strcmp(arg, "--no-intern") != 0) return false;
+  options->intern_exprs = false;
   return true;
 }
 
@@ -356,16 +347,14 @@ inline bool parse_uop_flag(int argc, char** argv, int* i,
   return true;
 }
 
-/// Snapshot/fork execution knobs, shared by every harness: --no-snapshot,
-/// --snapshot-budget N, --snapshot-interval N. Consumes the value argument
-/// (advancing *i) for the latter two. Returns false when argv[*i] is none
-/// of them.
+/// Snapshot/fork execution knobs, shared by every harness:
+/// --snapshot-budget N (0 disables snapshots), --snapshot-interval N.
+/// Consumes the value argument (advancing *i). Returns false when argv[*i]
+/// is neither.
 inline bool parse_snapshot_flag(int argc, char** argv, int* i,
                                 core::EngineOptions* options) {
   const char* arg = argv[*i];
-  if (std::strcmp(arg, "--no-snapshot") == 0) {
-    options->snapshots = false;
-  } else if (std::strcmp(arg, "--snapshot-budget") == 0 && *i + 1 < argc) {
+  if (std::strcmp(arg, "--snapshot-budget") == 0 && *i + 1 < argc) {
     options->snapshot_budget =
         static_cast<unsigned>(std::strtoul(argv[++*i], nullptr, 0));
   } else if (std::strcmp(arg, "--snapshot-interval") == 0 && *i + 1 < argc) {

@@ -26,8 +26,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &base_options.search)) return 2;
     } else if (bench::parse_solver_opt_flag(argv[i], &base_options)) {
-      // Path counts must be bit-identical no matter which solver
-      // optimizations run; the flags exist so sweeps can prove it.
+      // Path counts must be bit-identical with interning on or off; the
+      // flag exists so sweeps can prove it.
+    } else {
+      std::fprintf(stderr, "unknown option '%s' (or missing value)\n",
+                   argv[i]);
+      return 2;
     }
   }
 

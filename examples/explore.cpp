@@ -4,8 +4,7 @@
 //
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
-//           [--no-incremental] [--no-slice] [--no-cache] [--no-intern]
-//           [--no-snapshot] [--snapshot-budget N] [--snapshot-interval N]
+//           [--no-intern] [--snapshot-budget N] [--snapshot-interval N]
 //           [--no-uop] [--uop-cache-size N]
 //           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
 //           [--no-failover] [--portfolio] [--portfolio-backends LIST]
@@ -44,14 +43,11 @@ void print_usage(std::FILE* out, const char* prog) {
       "  --jobs N                 worker count (1 = sequential)\n"
       "  --search dfs|bfs|random|coverage\n"
       "                           path-selection strategy\n"
-      "  --no-incremental         disable incremental prefix solving\n"
-      "  --no-slice               disable constraint-independence slicing\n"
-      "  --no-cache               disable the per-worker query cache\n"
       "  --no-intern              disable expression hash-consing (legacy\n"
       "                           fresh-node-per-call allocator)\n"
-      "  --no-snapshot            disable snapshot/fork execution (full\n"
+      "  --snapshot-budget N      live checkpoints kept per worker (0\n"
+      "                           disables snapshot/fork execution: full\n"
       "                           replay per flip)\n"
-      "  --snapshot-budget N      live checkpoints kept per worker\n"
       "  --snapshot-interval N    min branch records between checkpoints\n"
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
@@ -224,6 +220,10 @@ int main(int argc, char** argv) {
       findings_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
       replay_file = argv[++i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown option '%s' (or missing value)\n",
+                   argv[i]);
+      return 2;
     } else {
       engine_name = argv[i];
     }

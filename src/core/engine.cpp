@@ -198,8 +198,7 @@ std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
     raw = std::make_unique<smt::FaultInjectingSolver>(std::move(raw),
                                                       options_.fault_plan);
   // Query caching is not a wrapper: the worker loop keys its cache by the
-  // *effective* query — the sliced one when slicing is on — and serves hits
-  // before the scoped incremental path.
+  // *effective* (sliced) query and serves hits before the scoped solver.
   return raw;
 }
 
@@ -217,21 +216,19 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   // Per-worker solver-pipeline state (workers never share any of it, so
   // the query cache is a plain map with no locking).
   const EngineOptions& opts = shared.options;
-  const bool incremental = opts.incremental_solving;
   smt::QuerySlicer slicer;
-  std::optional<smt::QueryCache> cache;
-  if (opts.cache_queries) cache.emplace();
+  smt::QueryCache cache;
   smt::SolverStore* const store = opts.solver_store.get();
   uint64_t cache_hits_sat = 0, cache_hits_unsat = 0, cache_misses = 0;
   uint64_t store_hits_sat = 0, store_hits_unsat = 0;
   std::vector<smt::ExprRef> prefix;      // as-taken prefix ∧ assumptions
-  std::vector<smt::ExprRef> full_query;  // scratch for the unsliced paths
+  std::vector<smt::ExprRef> full_query;  // scratch for oracle candidates
 
   // Snapshot/fork state (also strictly per-worker: snapshots hold
   // per-context ExprRefs, so handles never cross workers — a migrated job
   // replays from the entry point instead).
-  const bool use_snapshots = opts.snapshots && opts.snapshot_budget > 0 &&
-                             executor.supports_snapshots();
+  const bool use_snapshots =
+      opts.snapshot_budget > 0 && executor.supports_snapshots();
   SnapshotPool snapshot_pool(use_snapshots ? opts.snapshot_budget : 0);
   std::vector<std::shared_ptr<const Snapshot>> captures;
   const SnapshotPlan plan{use_snapshots ? &captures : nullptr,
@@ -431,31 +428,18 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       ++local.flip_attempts;
 
       // The effective query: the negated branch's variable-connected
-      // component(s) of the prefix when slicing, the whole conjunction
-      // otherwise. The unsliced vector is only materialized when something
-      // consumes it (stateless check, cache key, dump, measurement); pure
-      // incremental solving needs no query vector.
-      smt::QuerySlicer::Result sliced;
-      const std::vector<smt::ExprRef>* query = nullptr;
-      if (opts.slice_queries) {
-        sliced = slicer.slice(prefix, negated);
-        local.sliced_constraints += sliced.dropped;
-        query = &sliced.query;
-      } else if (!incremental || opts.cache_queries || store ||
-                 opts.measure_query_nodes ||
-                 !shared.options.smtlib_dump_dir.empty()) {
-        full_query.assign(prefix.begin(), prefix.end());
-        full_query.push_back(negated);
-        query = &full_query;
-      }
-      if (opts.measure_query_nodes && query) {
-        uint64_t nodes = smt::node_count(std::span<const smt::ExprRef>(*query));
+      // component(s) of the prefix (see smt/slice.hpp).
+      const smt::QuerySlicer::Result sliced = slicer.slice(prefix, negated);
+      const std::vector<smt::ExprRef>& query = sliced.query;
+      local.sliced_constraints += sliced.dropped;
+      if (opts.measure_query_nodes) {
+        uint64_t nodes = smt::node_count(std::span<const smt::ExprRef>(query));
         local.query_nodes_total += nodes;
         local.query_nodes_max = std::max(local.query_nodes_max, nodes);
       }
-      if (!shared.options.smtlib_dump_dir.empty() && query)
+      if (!shared.options.smtlib_dump_dir.empty())
         dump_query(shared.options.smtlib_dump_dir,
-                   shared.dump_counter.fetch_add(1) + 1, ctx, *query);
+                   shared.dump_counter.fetch_add(1) + 1, ctx, query);
 
       // Answer the flip, cheapest source first:
       //   1. query cache, keyed by the effective (sliced) query — sibling
@@ -464,38 +448,26 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       //      process boundary), its name-keyed model translated back
       //      through this context's variable table — but only after the
       //      entry survives the collision checks below;
-      //   3. the solver — through the scoped incremental API when enabled.
+      //   3. the solver, through the scoped API: the prefix is asserted
+      //      into the trace's scope and the negated branch is an assumption.
       smt::Assignment model;
       smt::CheckResult result = smt::CheckResult::kUnknown;
-      smt::QueryCache::Key key;
-      bool answered = false;
-      if (cache || store) key = smt::QueryCache::key_for(*query);
-      // The query's distinct variables, for the store's collision
-      // discriminator (lookup and insert both record it).
-      std::vector<uint32_t> store_vars_storage;
-      const std::vector<uint32_t>* store_vars = nullptr;
-      if (store) {
-        if (opts.slice_queries) {
-          store_vars = &sliced.vars;
+      const smt::QueryCache::Key key = smt::QueryCache::key_for(query);
+      // The query's distinct variables are the store's collision
+      // discriminator (lookup and insert both record their count).
+      const auto var_count = static_cast<uint32_t>(sliced.vars.size());
+      smt::QueryCache::Entry entry;
+      bool answered = cache.lookup(key, &entry);
+      if (answered) {
+        result = entry.result;
+        if (result == smt::CheckResult::kSat) {
+          model = std::move(entry.model);
+          ++cache_hits_sat;
         } else {
-          store_vars_storage = smt::collect_vars(*query);
-          store_vars = &store_vars_storage;
+          ++cache_hits_unsat;
         }
-      }
-      if (cache) {
-        smt::QueryCache::Entry entry;
-        if (cache->lookup(key, &entry)) {
-          result = entry.result;
-          if (result == smt::CheckResult::kSat) {
-            model = std::move(entry.model);
-            ++cache_hits_sat;
-          } else {
-            ++cache_hits_unsat;
-          }
-          answered = true;
-        } else {
-          ++cache_misses;
-        }
+      } else {
+        ++cache_misses;
       }
       if (!answered && store) {
         // The key is a content hash, and a persisted keyspace shared across
@@ -507,8 +479,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         // solver decides (a wrong unsat would silently prune feasible
         // paths; a wrong model would corrupt the child seed).
         smt::SolverStore::Entry stored;
-        bool hit = store->lookup(
-            key, static_cast<uint32_t>(store_vars->size()), &stored);
+        bool hit = store->lookup(key, var_count, &stored);
         if (hit && stored.verdict == smt::CheckResult::kSat) {
           // Stored models are name-keyed; every variable of a query is
           // declared in this context by the time the query exists, so the
@@ -518,7 +489,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           for (const auto& [name, value] : stored.model)
             if (smt::ExprRef var = ctx.lookup_var(name))
               model.set(var->var_id, value);
-          if (!smt::satisfies(*query, model)) {
+          if (!smt::satisfies(query, model)) {
             hit = false;
             model.values.clear();
           }
@@ -532,8 +503,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           }
           // Promote into the session cache so sibling flips re-answer
           // without the store's lock.
-          if (cache)
-            cache->insert(key, smt::QueryCache::Entry{result, model});
+          cache.insert(key, smt::QueryCache::Entry{result, model});
           answered = true;
           ++local.store_hits;
         } else {
@@ -541,18 +511,16 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         }
       }
       if (!answered) {
-        if (incremental) {
-          if (!scope) scope.emplace(solver);
-          for (; asserted < prefix.size(); ++asserted)
-            solver.assert_(prefix[asserted]);
-        }
+        if (!scope) scope.emplace(solver);
+        for (; asserted < prefix.size(); ++asserted)
+          solver.assert_(prefix[asserted]);
         const auto solve_start = std::chrono::steady_clock::now();
-        result = incremental
-                     ? solver.check_assuming(std::span(&negated, 1), &model)
-                     : solver.check(*query, &model);
-        if (result == smt::CheckResult::kUnknown) ++local.queries_unknown;
-        if (cache && result != smt::CheckResult::kUnknown)
-          cache->insert(key, smt::QueryCache::Entry{result, model});
+        result = solver.check_assuming(std::span(&negated, 1), &model);
+        if (result == smt::CheckResult::kUnknown) {
+          ++local.queries_unknown;
+        } else {
+          cache.insert(key, smt::QueryCache::Entry{result, model});
+        }
         // Record the definitive verdict for future *processes* (kUnknown is
         // rejected both here and inside the store — a weak answer is never
         // worth persisting). Models go in by variable name; var_ids are
@@ -561,7 +529,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           smt::SolverStore::Entry persisted;
           persisted.verdict = result;
           persisted.backend = solver.last_backend();
-          persisted.var_count = static_cast<uint32_t>(store_vars->size());
+          persisted.var_count = var_count;
           persisted.solve_seconds = std::chrono::duration<double>(
                                         std::chrono::steady_clock::now() -
                                         solve_start)
@@ -586,15 +554,11 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         continue;
       }
       ++local.feasible_flips;
-      // With slicing the model must not leak values for sliced-out
-      // variables: those constraints were never sent, and the parent seed
-      // is the witness that satisfies them.
-      if (opts.slice_queries) smt::restrict_to_vars(&model, sliced.vars);
-      // New seed: parent values, overridden by the model. With slicing the
-      // model covers exactly the effective query's variables, so everything
-      // sliced out keeps its parent value; an unsliced solver model may
-      // additionally carry completion values for other known variables
-      // (all unconstrained at this flip point either way).
+      // Keep only the effective query's variables: a cached model may come
+      // from a sibling flip with other sliced-out constraints, and the
+      // parent seed already satisfies this trace's. New seed: parent
+      // values, overridden by the restricted model.
+      smt::restrict_to_vars(&model, sliced.vars);
       smt::Assignment next_seed = seed;
       for (const auto& [var, value] : model.values) next_seed.set(var, value);
       // Fault site: building the child job is the allocation-heaviest step
@@ -742,7 +706,7 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
 
   // The engine-managed query cache is part of the effective solver stack;
   // reports keep the wrapper-style suffix.
-  if (options_.cache_queries) solver_name += "+cache";
+  solver_name += "+cache";
   if (options_.solver_store) solver_name += "+store";
 
   EngineStats stats = std::move(shared.totals);

@@ -51,9 +51,6 @@ struct EngineOptions {
   unsigned jobs = 1;
   /// Seed for SearchKind::kRandomPath (reproducible schedules).
   uint64_t rng_seed = 1;
-  /// Keep a per-worker query cache keyed by the effective (sliced) flip
-  /// query — identical queries recur across sibling flips.
-  bool cache_queries = true;
   /// Hash-cons expression nodes in each worker's Context (the default).
   /// Off preserves the legacy fresh-node-per-call allocator for the
   /// differential test harness; the explored path set is invariant.
@@ -63,17 +60,12 @@ struct EngineOptions {
   bool intern_exprs = true;
   /// Validate every sat model by concrete evaluation (testing aid).
   bool validate_models = false;
-  // -- Solver-pipeline optimizations (independently toggleable; the path
-  // set an exploration discovers is invariant under all of them, so the
-  // ablation bench can isolate each one's cost effect).
-  /// Assert a trace's branch-prefix constraints at most once per trace via
-  /// the solver's scoped API and check each flip as an assumption, instead
-  /// of re-sending the whole conjunction per flip. The scope opens, and
-  /// the prefix is asserted, only as far as flips reach the backend.
-  bool incremental_solving = true;
-  /// Constraint-independence slicing: send only the prefix constraints
-  /// variable-connected to the negated branch (see smt/slice.hpp).
-  bool slice_queries = true;
+  // -- Flip solving. Every branch flip takes one path: the query is sliced
+  // to the prefix constraints variable-connected to the negated branch
+  // (smt/slice.hpp), keyed, and answered by the per-worker query cache,
+  // then the persistent store below, then the solver's scoped API (the
+  // prefix asserted at most once per trace, the negated branch checked as
+  // an assumption; the scope opens only when a flip reaches the backend).
   /// Persistent content-addressed query/model store (smt/store.hpp),
   /// shared across workers (internally locked) and across *processes*:
   /// flip queries answer from it before reaching a solver, definitive
@@ -83,17 +75,15 @@ struct EngineOptions {
   /// change cost, never the explored path set. Null disables.
   /// CLI: --solver-store DIR.
   std::shared_ptr<smt::SolverStore> solver_store;
-  // -- Snapshot/fork execution (snapshot.hpp). Like the solver-pipeline
-  // optimizations, snapshots may change only cost, never the explored path
-  // set — resumed runs are bit-identical to full replays.
-  /// Resume each scheduled flip from the deepest reusable copy-on-write
-  /// checkpoint instead of re-executing from the entry point. Requires an
-  /// executor with supports_snapshots(); silently degrades to full replay
-  /// otherwise. CLI: --no-snapshot.
-  bool snapshots = true;
+  // -- Snapshot/fork execution (snapshot.hpp). Snapshots may change only
+  // cost, never the explored path set — resumed runs are bit-identical to
+  // full replays.
   /// Per-worker SnapshotPool capacity: live checkpoints kept for pending
-  /// flips (scored LRU eviction; evicted handles fall back to replay).
-  /// 0 disables snapshotting like `snapshots = false`. CLI: --snapshot-budget.
+  /// flips (scored LRU eviction; evicted handles fall back to replay). Each
+  /// scheduled flip resumes from the deepest reusable copy-on-write
+  /// checkpoint instead of re-executing from the entry point. 0 disables
+  /// snapshotting (full replay); so does an executor without
+  /// supports_snapshots(). CLI: --snapshot-budget.
   unsigned snapshot_budget = 128;
   /// Minimum branch records between two captures within one run. Smaller =
   /// denser checkpoints = less re-execution per resume but more capture
@@ -108,8 +98,8 @@ struct EngineOptions {
   /// artifact (any SMT-LIB solver can replay the exploration's queries).
   /// Numbering is a global claim order across workers.
   std::string smtlib_dump_dir;
-  // -- Static analysis consumers (src/analysis). Like the solver-pipeline
-  // optimizations, pruning may change only cost, never behavior: candidates
+  // -- Static analysis consumers (src/analysis). Like snapshots and the
+  // store, pruning may change only cost, never behavior: candidates
   // it skips are proven unsat, so path sets and finding sets are invariant
   // (pinned by tests/test_analysis.cpp).
   /// Oracle-candidate pre-prover: return true when the candidate is

@@ -215,7 +215,7 @@ TEST_F(OracleTest, CampaignFindsEveryKnownBugSetExactly) {
           core::EngineOptions options;
           options.search = search;
           options.jobs = jobs;
-          options.snapshots = snapshots;
+          if (!snapshots) options.snapshot_budget = 0;
           options.snapshot_interval = 1;  // stress resume with oracle state
           core::DseEngine engine(factory(program, /*with_oracles=*/true),
                                  options);

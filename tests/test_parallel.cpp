@@ -287,7 +287,11 @@ class WorkloadDeterminism : public ParallelEngineTest,
 TEST_P(WorkloadDeterminism, PathSetInvariantAcrossStrategiesAndJobs) {
   core::Program program = workloads::load_workload(table, GetParam());
   Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
-  EXPECT_GT(reference.paths, 100u);
+  for (const workloads::WorkloadInfo& info : workloads::table1_workloads()) {
+    if (info.name == GetParam()) {
+      EXPECT_EQ(reference.paths, info.paper_paths) << "Table I count";
+    }
+  }
   EXPECT_EQ(reference.paths, reference.path_keys.size());
 
   for (SearchKind kind : core::all_search_kinds()) {

@@ -26,6 +26,7 @@ struct Guest {
   unsigned input_bytes;  // 1 or 2
   const char* body;      // after sym_input; buffer pointer in s0
 };
+void PrintTo(const Guest& guest, std::ostream* os) { *os << guest.name; }
 
 const Guest kGuests[] = {
     {"byte-classifier", 1, R"(
@@ -209,14 +210,7 @@ TEST_P(PathOracle, EngineCountEqualsBruteForceSignatureCount) {
   EXPECT_EQ(stats.divergences, 0u) << guest.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Guests, PathOracle, ::testing::ValuesIn(kGuests),
-    [](const ::testing::TestParamInfo<Guest>& info) {
-      std::string name = info.param.name;
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Guests, PathOracle, ::testing::ValuesIn(kGuests));
 
 }  // namespace
 }  // namespace binsym

@@ -1,20 +1,14 @@
 // Tests for constraint-independence slicing: the union-find partition
 // (single group, disjoint groups, assumption-linked groups), slice contents,
-// model restriction and the engine-level invariant — sliced and unsliced
-// exploration produce identical path sets and identical Table I counts.
+// model restriction and cache-key collapse of sibling flips. The
+// engine-level invariant (Table I path sets and counts) is pinned by
+// WorkloadDeterminism in test_parallel.cpp.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <string>
-
 #include "core/engine.hpp"
-#include "core/executor.hpp"
-#include "isa/decoder.hpp"
 #include "smt/cache.hpp"
 #include "smt/slice.hpp"
 #include "smt/solver.hpp"
-#include "spec/registry.hpp"
-#include "workloads/workloads.hpp"
 
 namespace binsym {
 namespace {
@@ -228,90 +222,6 @@ TEST_F(SliceTest, SlicedCacheKeysCollapseSiblingFlipsInBothInternModes) {
   }
   EXPECT_EQ(keys[0], keys[1]) << "cache keys drift across the intern toggle";
 }
-
-// -- End-to-end: sliced and unsliced exploration are indistinguishable. -------
-
-class SliceDeterminism : public ::testing::TestWithParam<const char*> {
- protected:
-  SliceDeterminism() { spec::install_rv32im(registry, table); }
-
-  struct Exploration {
-    uint64_t paths = 0;
-    std::set<std::string> path_keys;
-  };
-
-  Exploration explore(const core::Program& program,
-                      const core::EngineOptions& options) {
-    core::WorkerFactory factory = [this, &program](unsigned) {
-      core::WorkerResources r;
-      r.ctx = std::make_unique<smt::Context>();
-      r.executor = std::make_unique<core::BinSymExecutor>(*r.ctx, decoder,
-                                                          registry, program);
-      r.solver = smt::make_z3_solver(*r.ctx);
-      return r;
-    };
-    core::DseEngine engine(std::move(factory), options);
-    Exploration result;
-    core::EngineStats stats =
-        engine.explore([&](const core::PathResult& path) {
-          std::string key;
-          key.reserve(path.trace.branches.size());
-          for (const core::BranchRecord& b : path.trace.branches)
-            key += b.taken ? '1' : '0';
-          EXPECT_TRUE(result.path_keys.insert(key).second)
-              << "path " << key << " enumerated twice";
-        });
-    result.paths = stats.paths;
-    return result;
-  }
-
-  isa::OpcodeTable table;
-  isa::Decoder decoder{table};
-  spec::Registry registry;
-};
-
-TEST_P(SliceDeterminism, PathSetInvariantUnderSolverOptimizations) {
-  core::Program program = workloads::load_workload(table, GetParam());
-  uint64_t expected = 0;
-  for (const workloads::WorkloadInfo& info : workloads::table1_workloads())
-    if (info.name == GetParam()) expected = info.paper_paths;
-
-  core::EngineOptions baseline;
-  baseline.incremental_solving = false;
-  baseline.slice_queries = false;
-  Exploration reference = explore(program, baseline);
-  EXPECT_EQ(reference.paths, expected) << "Table I count (all opts off)";
-  EXPECT_EQ(reference.paths, reference.path_keys.size());
-
-  struct Config {
-    const char* name;
-    bool incremental, slice;
-    unsigned jobs;
-    bool cache = true;
-  };
-  const Config configs[] = {
-      {"slice only", false, true, 1},
-      {"slice only, no cache", false, true, 1, false},
-      {"incremental only", true, false, 1},
-      {"all on", true, true, 1},
-      {"all on, 4 jobs", true, true, 4},
-  };
-  for (const Config& config : configs) {
-    core::EngineOptions options;
-    options.incremental_solving = config.incremental;
-    options.slice_queries = config.slice;
-    options.jobs = config.jobs;
-    options.cache_queries = config.cache;
-    Exploration run = explore(program, options);
-    EXPECT_EQ(run.paths, reference.paths) << config.name;
-    EXPECT_EQ(run.path_keys, reference.path_keys) << config.name;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, SliceDeterminism,
-                         ::testing::Values("base64-encode", "bubble-sort",
-                                           "clif-parser", "insertion-sort",
-                                           "uri-parser"));
 
 }  // namespace
 }  // namespace binsym

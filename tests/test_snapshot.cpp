@@ -393,7 +393,7 @@ buf: .space 3
 TEST_F(SnapshotEngineTest, TinyBudgetFallsBackToReplayWithIdenticalPaths) {
   core::Program program = load(kGuardedFailureGuest);
   core::EngineOptions off;
-  off.snapshots = false;
+  off.snapshot_budget = 0;
   Exploration reference = explore(program, off);
   EXPECT_EQ(reference.stats.snapshot_hits, 0u);
   EXPECT_EQ(reference.stats.snapshot_captures, 0u);
@@ -422,7 +422,7 @@ TEST_F(SnapshotEngineTest, FailurePrefixesSurviveResume) {
   // failure record — it must be replicated into every descendant path.
   core::Program program = load(kGuardedFailureGuest);
   core::EngineOptions off;
-  off.snapshots = false;
+  off.snapshot_budget = 0;
   core::EngineOptions on;
   on.snapshot_interval = 1;
   Exploration reference = explore(program, off);
@@ -435,7 +435,7 @@ TEST_F(SnapshotEngineTest, FailurePrefixesSurviveResume) {
 TEST_F(SnapshotEngineTest, VpEngineExploresIdenticallyWithSnapshots) {
   core::Program program = workloads::load_workload(table, "clif-parser");
   core::EngineOptions off;
-  off.snapshots = false;
+  off.snapshot_budget = 0;
   core::EngineOptions on;
   Exploration reference = explore(program, off, "vp");
   Exploration resumed = explore(program, on, "vp");
@@ -459,7 +459,7 @@ class SnapshotDeterminism : public SnapshotEngineTest,
 TEST_P(SnapshotDeterminism, PathSetInvariantAcrossSnapshotsStrategiesJobs) {
   core::Program program = workloads::load_workload(table, GetParam());
   core::EngineOptions reference_options;
-  reference_options.snapshots = false;
+  reference_options.snapshot_budget = 0;
   Exploration reference = explore(program, reference_options);
   EXPECT_GT(reference.stats.paths, 100u);
   EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
@@ -470,7 +470,7 @@ TEST_P(SnapshotDeterminism, PathSetInvariantAcrossSnapshotsStrategiesJobs) {
         if (!snapshots && kind == SearchKind::kDepthFirst && jobs == 1)
           continue;  // the reference configuration
         core::EngineOptions options;
-        options.snapshots = snapshots;
+        if (!snapshots) options.snapshot_budget = 0;
         options.search = kind;
         options.jobs = jobs;
         Exploration run = explore(program, options);

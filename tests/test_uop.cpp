@@ -707,7 +707,7 @@ TEST_P(UopWorkloadIdentity, PathSetInvariantAcrossFastPathStrategiesJobs) {
   core::MachineConfig reference_config;
   reference_config.uop_fastpath = false;
   core::EngineOptions reference_options;
-  reference_options.snapshots = false;
+  reference_options.snapshot_budget = 0;
   Exploration reference = explore(program, reference_config,
                                   reference_options);
   EXPECT_GT(reference.stats.paths, 100u);
@@ -727,7 +727,7 @@ TEST_P(UopWorkloadIdentity, PathSetInvariantAcrossFastPathStrategiesJobs) {
           core::EngineOptions options;
           options.search = kind;
           options.jobs = jobs;
-          options.snapshots = snapshots;
+          if (!snapshots) options.snapshot_budget = 0;
           Exploration run = explore(program, mconfig, options);
           std::string label = std::string(uop ? "uop" : "spec") + " " +
                               core::search_kind_name(kind) +
