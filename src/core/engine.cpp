@@ -29,20 +29,20 @@ void dump_query(const std::string& dir, uint64_t index, smt::Context& ctx,
   if (file) smt::print_query(file, ctx, query);
 }
 
-/// Assemble the final Finding record for a detection on `trace`: dedup-key
-/// fields, SMT-LIB rendering of the faulting expression, and the witness
-/// input bytes (in sym_input creation order) under `witness`.
-Finding finalize_finding(const smt::Context& ctx, OracleKind oracle,
-                         uint32_t pc, uint32_t call_depth,
-                         const std::string& detail, smt::ExprRef expr,
+/// Assemble the final Finding record for a detection (an OracleHit or an
+/// OracleCandidate) on `trace`: dedup-key fields, SMT-LIB rendering of the
+/// faulting expression, and the witness input bytes (in sym_input creation
+/// order) under `witness`.
+template <typename Detection>
+Finding finalize_finding(const smt::Context& ctx, const Detection& event,
                          const PathTrace& trace,
                          const smt::Assignment& witness, uint64_t index) {
   Finding f;
-  f.oracle = oracle;
-  f.pc = pc;
-  f.call_depth = call_depth;
-  f.detail = detail;
-  if (expr) f.expr_text = smt::to_smtlib(ctx, expr);
+  f.oracle = event.oracle;
+  f.pc = event.pc;
+  f.call_depth = event.call_depth;
+  f.detail = event.detail;
+  if (event.expr) f.expr_text = smt::to_smtlib(ctx, event.expr);
   f.path_index = index;
   f.input.reserve(trace.input_vars.size());
   for (uint32_t var : trace.input_vars)
@@ -50,7 +50,7 @@ Finding finalize_finding(const smt::Context& ctx, OracleKind oracle,
   return f;
 }
 
-/// Balances a Solver::push() on every exit path of a trace's flip loop.
+/// Balances a Solver::push() on every exit path of a trace's answer path.
 class SolverScope {
  public:
   explicit SolverScope(smt::Solver& solver) : solver_(solver) {
@@ -219,10 +219,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   smt::QuerySlicer slicer;
   smt::QueryCache cache;
   smt::SolverStore* const store = opts.solver_store.get();
-  uint64_t cache_hits_sat = 0, cache_hits_unsat = 0, cache_misses = 0;
-  uint64_t store_hits_sat = 0, store_hits_unsat = 0;
-  std::vector<smt::ExprRef> prefix;      // as-taken prefix ∧ assumptions
-  std::vector<smt::ExprRef> full_query;  // scratch for oracle candidates
+  uint64_t cache_hits = 0, cache_misses = 0;
+  uint64_t upstream_sat = 0, upstream_unsat = 0;  // cache or store answers
+  std::vector<smt::ExprRef> prefix;  // as-taken branches ∧ assumptions
 
   // Snapshot/fork state (also strictly per-worker: snapshots hold
   // per-context ExprRefs, so handles never cross workers — a migrated job
@@ -332,104 +331,27 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     }
     shared.frontier.observe(trace);
 
-    // Finalize this run's oracle detections (finding.hpp). Concrete hits
-    // carry the run's seed as their witness; candidates ask the solver
-    // whether the violation is feasible under the constraints that held at
-    // the event point, and a sat model (merged over the seed) becomes the
-    // witness. Runs before the flip loop opens its solver scope — the
-    // stateless check() requires no scopes open.
-    for (const OracleHit& hit : trace.oracle_hits) {
-      Finding f = finalize_finding(ctx, hit.oracle, hit.pc, hit.call_depth,
-                                   hit.detail, hit.expr, trace, seed, index);
-      if (shared.findings.insert(std::move(f))) {
-        ++local.findings;
-      } else {
-        ++local.finding_dupes;
-      }
-    }
-    for (const OracleCandidate& c : trace.oracle_candidates) {
-      // Already proven by some other path: skip the solver work. A racing
-      // insert below still dedups correctly — this is only a fast path.
-      if (shared.findings.contains(c.oracle, c.pc, c.call_depth)) continue;
-      // Static pre-prover (EngineOptions::candidate_prune): a candidate
-      // proven unsat never reaches the solver. In differential mode it
-      // does anyway, and a sat answer is counted as a soundness mismatch
-      // (the finding is still recorded, so behavior matches prune-off).
-      bool statically_proved = false;
-      if (shared.options.candidate_prune) {
-        statically_proved = shared.options.candidate_prune(c);
-        if (statically_proved) {
-          ++local.static_proved;
-          if (!shared.options.static_differential) continue;
-        } else {
-          ++local.static_unknown;
-        }
-      }
-      ++local.candidates_checked;
-      full_query.clear();
-      for (size_t j = 0; j < c.branch_depth; ++j) {
-        const BranchRecord& b = trace.branches[j];
-        full_query.push_back(b.taken ? b.cond : ctx.not_(b.cond));
-      }
-      for (size_t j = 0; j < c.assumption_count; ++j)
-        full_query.push_back(trace.assumptions[j].expr);
-      full_query.push_back(c.cond);
-      smt::Assignment model;
-      const smt::CheckResult cres = solver.check(full_query, &model);
-      if (cres == smt::CheckResult::kUnknown) ++local.queries_unknown;
-      if (cres != smt::CheckResult::kSat) continue;
-      if (statically_proved) ++local.static_mismatches;
-      ++local.candidates_feasible;
-      smt::Assignment witness = seed;
-      for (const auto& [var, value] : model.values) witness.set(var, value);
-      Finding f = finalize_finding(ctx, c.oracle, c.pc, c.call_depth,
-                                   c.detail, c.expr, trace, witness, index);
-      if (shared.findings.insert(std::move(f))) {
-        ++local.findings;
-      } else {
-        ++local.finding_dupes;
-      }
-    }
-
-    // Schedule flips. Under DFS, pushing shallow flips first leaves the
-    // deepest flip on top of the stack: the paper's selection order.
-    //
-    // Every flip of this trace shares the prefix conjunction with its
-    // successors (flip i+1's prefix is flip i's plus one constraint), so
-    // the prefix is grown once, incrementally, in `prefix` for slicing and
-    // cache keys. The solver scope opens lazily: only a flip that misses
-    // both the cache and the store opens it and asserts the prefix grown
-    // since the last such flip, then ships just the negated branch as an
-    // assumption. A trace whose flips are all answered without the backend
-    // never touches the solver's assertion stack.
-    prefix.clear();
-    size_t next_branch = 0;      // prefix branches appended so far
-    size_t next_assumption = 0;  // trace assumptions appended so far
-    size_t asserted = 0;         // prefix constraints asserted into `scope`
+    // The one answer path for every question a trace asks, "prefix ∧
+    // target" (a negated branch or an oracle candidate's violation
+    // condition), cheapest source first:
+    //   1. query cache, keyed by the effective query: the target's
+    //      variable-connected component(s) of the prefix (smt/slice.hpp) —
+    //      questions over disjoint constraint groups collapse onto one key;
+    //   2. the persistent store (same key — content hashes survive the
+    //      process boundary), its name-keyed model translated back through
+    //      this context's variable table — but only after the entry
+    //      survives the collision checks below;
+    //   3. the solver, through the scoped API: the trace's scope opens at
+    //      the first question that gets this far, prefix[asserted..) is
+    //      asserted into it and the target ships as an assumption, so each
+    //      call's prefix must extend the last one until the scope closes.
+    // A sat model comes back restricted to the effective query's variables;
+    // merged over the seed, it satisfies the whole query.
     std::optional<SolverScope> scope;
-
-    for (size_t i = job.bound; i < trace.branches.size(); ++i) {
-      // Once the exploration is stopped (budget hit, worker error) the
-      // remaining flips of this trace would only feed a dead frontier;
-      // wind down instead of spending solver time on them.
-      if (shared.frontier.stopped()) break;
-
-      // Extend the shared prefix to flip point i: branches [0, i) in
-      // as-taken form plus the assumptions made up to the flip point.
-      while (next_branch < i) {
-        const BranchRecord& b = trace.branches[next_branch++];
-        prefix.push_back(b.taken ? b.cond : ctx.not_(b.cond));
-      }
-      while (next_assumption < trace.assumptions.size() &&
-             trace.assumptions[next_assumption].branch_index <= i)
-        prefix.push_back(trace.assumptions[next_assumption++].expr);
-      const BranchRecord& flip = trace.branches[i];
-      smt::ExprRef negated = flip.taken ? ctx.not_(flip.cond) : flip.cond;
-      ++local.flip_attempts;
-
-      // The effective query: the negated branch's variable-connected
-      // component(s) of the prefix (see smt/slice.hpp).
-      const smt::QuerySlicer::Result sliced = slicer.slice(prefix, negated);
+    size_t asserted = 0;  // prefix constraints asserted into `scope`
+    auto answer = [&](std::span<const smt::ExprRef> prefix,
+                      smt::ExprRef target) {
+      const smt::QuerySlicer::Result sliced = slicer.slice(prefix, target);
       const std::vector<smt::ExprRef>& query = sliced.query;
       local.sliced_constraints += sliced.dropped;
       if (opts.measure_query_nodes) {
@@ -437,38 +359,18 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         local.query_nodes_total += nodes;
         local.query_nodes_max = std::max(local.query_nodes_max, nodes);
       }
-      if (!shared.options.smtlib_dump_dir.empty())
-        dump_query(shared.options.smtlib_dump_dir,
-                   shared.dump_counter.fetch_add(1) + 1, ctx, query);
+      if (!opts.smtlib_dump_dir.empty())
+        dump_query(opts.smtlib_dump_dir, shared.dump_counter.fetch_add(1) + 1,
+                   ctx, query);
 
-      // Answer the flip, cheapest source first:
-      //   1. query cache, keyed by the effective (sliced) query — sibling
-      //      flips over disjoint constraint groups collapse onto one key;
-      //   2. the persistent store (same key — content hashes survive the
-      //      process boundary), its name-keyed model translated back
-      //      through this context's variable table — but only after the
-      //      entry survives the collision checks below;
-      //   3. the solver, through the scoped API: the prefix is asserted
-      //      into the trace's scope and the negated branch is an assumption.
-      smt::Assignment model;
-      smt::CheckResult result = smt::CheckResult::kUnknown;
       const smt::QueryCache::Key key = smt::QueryCache::key_for(query);
       // The query's distinct variables are the store's collision
       // discriminator (lookup and insert both record their count).
       const auto var_count = static_cast<uint32_t>(sliced.vars.size());
-      smt::QueryCache::Entry entry;
-      bool answered = cache.lookup(key, &entry);
-      if (answered) {
-        result = entry.result;
-        if (result == smt::CheckResult::kSat) {
-          model = std::move(entry.model);
-          ++cache_hits_sat;
-        } else {
-          ++cache_hits_unsat;
-        }
-      } else {
-        ++cache_misses;
-      }
+      smt::QueryCache::Entry out;
+      smt::Assignment& model = out.model;
+      bool answered = cache.lookup(key, &out);
+      ++(answered ? cache_hits : cache_misses);
       if (!answered && store) {
         // The key is a content hash, and a persisted keyspace shared across
         // targets and runs widens the collision exposure, so a hit is never
@@ -477,7 +379,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         // satisfy the query under concrete evaluation. Either mismatch is a
         // colliding key from a different query — treated as a miss, the
         // solver decides (a wrong unsat would silently prune feasible
-        // paths; a wrong model would corrupt the child seed).
+        // paths or drop a finding; a wrong model would corrupt a seed).
         smt::SolverStore::Entry stored;
         bool hit = store->lookup(key, var_count, &stored);
         if (hit && stored.verdict == smt::CheckResult::kSat) {
@@ -495,46 +397,44 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           }
         }
         if (hit) {
-          result = stored.verdict;
-          if (result == smt::CheckResult::kSat) {
-            ++store_hits_sat;
-          } else {
-            ++store_hits_unsat;
-          }
-          // Promote into the session cache so sibling flips re-answer
+          out.result = stored.verdict;
+          // Promote into the session cache so later questions re-answer
           // without the store's lock.
-          cache.insert(key, smt::QueryCache::Entry{result, model});
+          cache.insert(key, out);
           answered = true;
           ++local.store_hits;
         } else {
           ++local.store_misses;
         }
       }
-      if (!answered) {
+      if (answered) {
+        ++(out.result == smt::CheckResult::kSat ? upstream_sat
+                                                : upstream_unsat);
+      } else {
         if (!scope) scope.emplace(solver);
         for (; asserted < prefix.size(); ++asserted)
           solver.assert_(prefix[asserted]);
         const auto solve_start = std::chrono::steady_clock::now();
-        result = solver.check_assuming(std::span(&negated, 1), &model);
-        if (result == smt::CheckResult::kUnknown) {
+        out.result = solver.check_assuming(std::span(&target, 1), &model);
+        if (out.result == smt::CheckResult::kUnknown) {
           ++local.queries_unknown;
         } else {
-          cache.insert(key, smt::QueryCache::Entry{result, model});
+          cache.insert(key, out);
         }
         // Record the definitive verdict for future *processes* (kUnknown is
         // rejected both here and inside the store — a weak answer is never
         // worth persisting). Models go in by variable name; var_ids are
         // meaningless outside this context.
-        if (store && result != smt::CheckResult::kUnknown) {
+        if (store && out.result != smt::CheckResult::kUnknown) {
           smt::SolverStore::Entry persisted;
-          persisted.verdict = result;
+          persisted.verdict = out.result;
           persisted.backend = solver.last_backend();
           persisted.var_count = var_count;
           persisted.solve_seconds = std::chrono::duration<double>(
                                         std::chrono::steady_clock::now() -
                                         solve_start)
                                         .count();
-          if (result == smt::CheckResult::kSat) {
+          if (out.result == smt::CheckResult::kSat) {
             persisted.model.reserve(model.values.size());
             for (const auto& [var, value] : model.values)
               persisted.model.emplace_back(ctx.var_info(var).name, value);
@@ -542,25 +442,120 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
           store->insert(key, std::move(persisted));
         }
       }
+      // A cached model may come from a question with other sliced-out
+      // constraints, which the seed already satisfies.
+      if (out.result == smt::CheckResult::kSat)
+        smt::restrict_to_vars(&model, sliced.vars);
+      return out;
+    };
+    // The run's seed, overridden by a restricted model: a witness or a
+    // child seed.
+    auto over_seed = [&seed](const smt::Assignment& model) {
+      smt::Assignment merged = seed;
+      for (const auto& [var, value] : model.values) merged.set(var, value);
+      return merged;
+    };
+    auto record = [&](const auto& detection, const smt::Assignment& witness) {
+      if (shared.findings.insert(
+              finalize_finding(ctx, detection, trace, witness, index))) {
+        ++local.findings;
+      } else {
+        ++local.finding_dupes;
+      }
+    };
+    auto push_branch = [&](size_t j) {
+      const BranchRecord& b = trace.branches[j];
+      prefix.push_back(b.taken ? b.cond : ctx.not_(b.cond));
+    };
+
+    // Finalize this run's oracle detections (finding.hpp). Concrete hits
+    // carry the run's seed as their witness; a candidate asks whether its
+    // violation is feasible under the constraints that held at the event
+    // point, branches[0, d) ∧ assumptions[0, a) ∧ cond, and a sat model over
+    // the seed becomes the witness. The trace records candidates in event
+    // order, so their prefixes nest when the prefix grows in event order
+    // too (assumption k precedes branch assumptions[k].branch_index).
+    for (const OracleHit& hit : trace.oracle_hits) record(hit, seed);
+    prefix.clear();
+    size_t next_branch = 0;      // prefix branches appended so far
+    size_t next_assumption = 0;  // trace assumptions appended so far
+    for (const OracleCandidate& c : trace.oracle_candidates) {
+      // Already proven by some other path: skip the solver work. A racing
+      // insert below still dedups correctly — this is only a fast path.
+      if (shared.findings.contains(c.oracle, c.pc, c.call_depth)) continue;
+      // Static pre-prover (EngineOptions::candidate_prune): a candidate
+      // proven unsat never reaches the solver. In differential mode it
+      // does anyway, and a sat answer is counted as a soundness mismatch
+      // (the finding is still recorded, so behavior matches prune-off).
+      bool statically_proved = false;
+      if (opts.candidate_prune) {
+        statically_proved = opts.candidate_prune(c);
+        if (statically_proved) {
+          ++local.static_proved;
+          if (!opts.static_differential) continue;
+        } else {
+          ++local.static_unknown;
+        }
+      }
+      ++local.candidates_checked;
+      while (next_branch < c.branch_depth ||
+             next_assumption < c.assumption_count) {
+        if (next_assumption < c.assumption_count &&
+            trace.assumptions[next_assumption].branch_index <= next_branch) {
+          prefix.push_back(trace.assumptions[next_assumption++].expr);
+        } else {
+          push_branch(next_branch++);
+        }
+      }
+      const smt::QueryCache::Entry feasible = answer(prefix, c.cond);
+      if (feasible.result != smt::CheckResult::kSat) continue;
+      if (statically_proved) ++local.static_mismatches;
+      ++local.candidates_feasible;
+      record(c, over_seed(feasible.model));
+    }
+    // The flip phase grows its prefix in another order (every branch below
+    // job.bound first), so it starts over with the scope closed.
+    scope.reset();
+    asserted = next_branch = next_assumption = 0;
+    prefix.clear();
+
+    // Schedule flips. Under DFS, pushing shallow flips first leaves the
+    // deepest flip on top of the stack: the paper's selection order.
+    //
+    // Every flip of this trace shares the prefix conjunction with its
+    // successors (flip i+1's prefix is flip i's plus one constraint), so
+    // the prefix is grown once, incrementally. A trace whose flips are all
+    // answered without the backend never touches the solver's assertion
+    // stack.
+    for (size_t i = job.bound; i < trace.branches.size(); ++i) {
+      // Once the exploration is stopped (budget hit, worker error) the
+      // remaining flips of this trace would only feed a dead frontier;
+      // wind down instead of spending solver time on them.
+      if (shared.frontier.stopped()) break;
+
+      // Extend the shared prefix to flip point i: branches [0, i) in
+      // as-taken form plus the assumptions made up to the flip point.
+      while (next_branch < i) push_branch(next_branch++);
+      while (next_assumption < trace.assumptions.size() &&
+             trace.assumptions[next_assumption].branch_index <= i)
+        prefix.push_back(trace.assumptions[next_assumption++].expr);
+      const BranchRecord& flip = trace.branches[i];
+      ++local.flip_attempts;
+      const smt::QueryCache::Entry flipped =
+          answer(prefix, flip.taken ? ctx.not_(flip.cond) : flip.cond);
       // An unknown verdict (deadline expiry, exhausted failover) is *not*
       // infeasible: the flip is skipped explicitly, never cached, and
       // counted so a timeout cannot silently masquerade as unsat.
-      if (result == smt::CheckResult::kUnknown) {
+      if (flipped.result == smt::CheckResult::kUnknown) {
         ++local.flips_skipped_unknown;
         continue;
       }
-      if (result != smt::CheckResult::kSat) {
+      if (flipped.result != smt::CheckResult::kSat) {
         ++local.infeasible_flips;
         continue;
       }
       ++local.feasible_flips;
-      // Keep only the effective query's variables: a cached model may come
-      // from a sibling flip with other sliced-out constraints, and the
-      // parent seed already satisfies this trace's. New seed: parent
-      // values, overridden by the restricted model.
-      smt::restrict_to_vars(&model, sliced.vars);
-      smt::Assignment next_seed = seed;
-      for (const auto& [var, value] : model.values) next_seed.set(var, value);
+      smt::Assignment next_seed = over_seed(flipped.model);
       // Fault site: building the child job is the allocation-heaviest step
       // of the flip loop (portable seed copy), so the kAlloc site fires
       // here as well as at snapshot captures.
@@ -582,7 +577,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       }
       shared.frontier.push(std::move(child));
     }
-    scope.reset();
     } catch (const std::exception& e) {
       on_job_error(e.what());
     } catch (...) {
@@ -605,14 +599,13 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   local.intern_hits = ctx.intern_hits() - intern_hits_before;
   local.arena_bytes = ctx.arena_bytes();
   local.solver = solver.stats();
-  // Flips answered from the cache (or the persistent store — a cache whose
-  // hits crossed a process boundary) count as logical solver queries with
-  // their verdict, just like the flips the backend decided.
-  local.solver.queries +=
-      cache_hits_sat + cache_hits_unsat + store_hits_sat + store_hits_unsat;
-  local.solver.sat += cache_hits_sat + store_hits_sat;
-  local.solver.unsat += cache_hits_unsat + store_hits_unsat;
-  local.solver.cache_hits = cache_hits_sat + cache_hits_unsat;
+  // Questions answered from the cache (or the persistent store — a cache
+  // whose hits crossed a process boundary) count as logical solver queries
+  // with their verdict, just like the ones the backend decided.
+  local.solver.queries += upstream_sat + upstream_unsat;
+  local.solver.sat += upstream_sat;
+  local.solver.unsat += upstream_unsat;
+  local.solver.cache_hits = cache_hits;
   local.solver.cache_misses = cache_misses;
   std::lock_guard<std::mutex> lock(shared.sink_mutex);
   shared.totals.merge(local);

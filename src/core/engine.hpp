@@ -93,8 +93,9 @@ struct EngineOptions {
   /// per query, accumulated into EngineStats. Costs one DAG walk per flip;
   /// meant for the SMT ablation bench, off in production explorations.
   bool measure_query_nodes = false;
-  /// When non-empty: write every branch-flip query as a standalone SMT-LIB
-  /// file (query-000001.smt2, ...) into this directory — a reproducibility
+  /// When non-empty: write every effective (sliced) query, branch flips and
+  /// oracle candidates alike, as a standalone SMT-LIB file
+  /// (query-000001.smt2, ...) into this directory — a reproducibility
   /// artifact (any SMT-LIB solver can replay the exploration's queries).
   /// Numbering is a global claim order across workers.
   std::string smtlib_dump_dir;
@@ -173,7 +174,7 @@ struct EngineStats {
   // attached to the executors.
   uint64_t findings = 0;             // unique findings this engine inserted
   uint64_t finding_dupes = 0;        // detections collapsed by the dedup key
-  uint64_t candidates_checked = 0;   // oracle candidates sent to the solver
+  uint64_t candidates_checked = 0;   // candidates through the answer path
   uint64_t candidates_feasible = 0;  // ... that came back sat (=> finding)
   // -- Static candidate pruning (EngineOptions::candidate_prune). Zero
   // unless a prover was installed.

@@ -62,10 +62,11 @@ struct OracleHit {
 };
 
 /// A violation that did not happen concretely but may be feasible under the
-/// path condition at the event point. The engine checks
+/// path condition at the event point. The engine asks
 ///   branches[0, branch_depth) ∧ assumptions[0, assumption_count) ∧ cond
-/// and promotes a sat result to a Finding whose witness is the model merged
-/// over the run's seed.
+/// through the same answer path as a branch flip (slice, cache, store,
+/// scoped check) and promotes a sat result to a Finding whose witness is
+/// the slice-restricted model merged over the run's seed.
 struct OracleCandidate {
   OracleKind oracle = OracleKind::kNumOracleKinds;
   uint32_t pc = 0;

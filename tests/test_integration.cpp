@@ -1,16 +1,21 @@
 // Cross-engine integration tests on the shipped evaluation workloads
 // (reduced path budgets keep them fast): the Table I property that every
 // correct engine discovers the same execution paths, the workload loader
-// plumbing itself, and how the engine drives the solver's scoped API.
+// plumbing itself, and how the engine drives the solver's scoped API
+// (the only solver API it calls, for branch flips and oracle candidates).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <ostream>
+#include <set>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "baseline/ir_exec.hpp"
 #include "core/engine.hpp"
 #include "isa/decoder.hpp"
+#include "oracles/manager.hpp"
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
 #include "vp/vp_executor.hpp"
@@ -136,12 +141,13 @@ TEST_F(IntegrationTest, WorkloadOutputsAreWellFormedBase64) {
 
 // -- The lazily opened flip scope. -------------------------------------------
 
-/// Forwards to a real backend and counts the scoped-API calls since the
+/// Forwards to a real backend and counts the solver-API calls since the
 /// last reset of `counts`.
 class CountingSolver final : public smt::ForwardingSolver {
  public:
   struct Counts {
     uint64_t push = 0, pop = 0, asserts = 0, backend_checks = 0;
+    uint64_t stateless_checks = 0;
     size_t scoped_at_last_check = 0;  // live scoped assertions then
   };
 
@@ -161,6 +167,7 @@ class CountingSolver final : public smt::ForwardingSolver {
   }
   smt::CheckResult check(std::span<const smt::ExprRef> assertions,
                          smt::Assignment* model) override {
+    ++counts.stateless_checks;
     smt::CheckResult result = inner_->check(assertions, model);
     stats_ = inner_->stats();
     return result;
@@ -245,6 +252,49 @@ INSTANTIATE_TEST_SUITE_P(
                       LazyScopeCase{"clif-parser", 31, 465},
                       LazyScopeCase{"insertion-sort", 5039, 65054},
                       LazyScopeCase{"uri-parser", 84, 2007}));
+
+TEST_F(IntegrationTest, OracleCandidatesUseOnlyTheScopedApi) {
+  // Every candidate reaches the answer path (no static pruning), and the
+  // detection campaign still finds each buggy-* program's known bug set.
+  using Bug = std::pair<core::OracleKind, uint32_t>;  // (oracle, call depth)
+  using core::OracleKind;
+  const std::vector<std::pair<const char*, std::multiset<Bug>>> corpus = {
+      {"buggy-uri-parser",
+       {{OracleKind::kOobLoad, 1}, {OracleKind::kOobStore, 1}}},
+      {"buggy-div", {{OracleKind::kDivByZero, 1}}},
+      {"buggy-overflow", {{OracleKind::kOverflow, 1}}},
+      {"buggy-jump-table", {{OracleKind::kBadJump, 1}}},
+      {"buggy-unaligned", {{OracleKind::kUnaligned, 1}}},
+      {"buggy-stack-smash", {{OracleKind::kStackSmash, 1}}},
+      {"buggy-assert",
+       {{OracleKind::kAssertFail, 2}, {OracleKind::kReach, 2}}},
+  };
+  for (const auto& [name, bugs] : corpus) {
+    SCOPED_TRACE(name);
+    core::Program program = workloads::load_workload(table, name);
+    smt::Context ctx;
+    core::BinSymExecutor executor(ctx, decoder, registry, program);
+    std::string error;
+    auto manager = oracles::OracleManager::make(
+        ctx,
+        oracles::MemoryMap::for_program(program,
+                                        core::MachineConfig{}.stack_top),
+        "all", &error);
+    ASSERT_TRUE(manager) << error;
+    executor.set_observer(manager.get());
+    auto owned = std::make_unique<CountingSolver>(smt::make_z3_solver(ctx));
+    CountingSolver* solver = owned.get();
+    core::DseEngine engine(executor, std::move(owned));
+    core::EngineStats stats = engine.explore();
+
+    EXPECT_EQ(solver->counts.stateless_checks, 0u);
+    EXPECT_GT(stats.candidates_checked, 0u);
+    std::multiset<Bug> found;
+    for (const core::Finding& f : engine.findings())
+      found.insert({f.oracle, f.call_depth});
+    EXPECT_EQ(found, bugs);
+  }
+}
 
 }  // namespace
 }  // namespace binsym

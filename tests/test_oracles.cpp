@@ -227,6 +227,10 @@ TEST_F(OracleTest, CampaignFindsEveryKnownBugSetExactly) {
           for (const core::Finding& f : findings) keys.insert(key_of(f));
           EXPECT_EQ(keys.size(), findings.size());
           EXPECT_EQ(stats.findings, findings.size());
+          // Candidates and flips share one answer path, so every logical
+          // query is a cache hit or a cache miss.
+          EXPECT_EQ(stats.solver.queries,
+                    stats.solver.cache_hits + stats.solver.cache_misses);
 
           // Exactly the known bug set, as (oracle, depth) pairs.
           std::multiset<std::pair<OracleKind, uint32_t>> got, want;

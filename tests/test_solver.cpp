@@ -213,9 +213,9 @@ TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
 }
 
 TEST_P(ScopedSolverApi, StatelessChecksAroundAScopeStayIsolated) {
-  // The engine's interleaving: a trace's oracle candidates go through the
-  // stateless check() before its flip scope opens, and the next trace's
-  // candidates follow that scope's pop().
+  // The stateless contract failover and the portfolio rely on: a check()
+  // before a push() or after its pop() sees none of the scope's assertions
+  // and leaves nothing behind.
   Context ctx;
   auto solver = GetParam().make(ctx);
   ExprRef x = ctx.var("x", 8);
