@@ -21,6 +21,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engines.hpp"
@@ -29,14 +30,14 @@ using namespace binsym;
 
 namespace {
 
-std::vector<unsigned> parse_jobs_list(const char* arg) {
+std::vector<unsigned> parse_jobs_list(std::string_view arg) {
   std::vector<unsigned> jobs;
-  for (const char* p = arg; *p;) {
-    jobs.push_back(bench::parse_jobs_arg(p));
-    p = std::strchr(p, ',');
-    if (!p) break;
-    ++p;
+  size_t comma;
+  while ((comma = arg.find(',')) != std::string_view::npos) {
+    jobs.push_back(bench::parse_jobs_arg(arg.substr(0, comma)));
+    arg.remove_prefix(comma + 1);
   }
+  jobs.push_back(bench::parse_jobs_arg(arg));
   return jobs;
 }
 

@@ -13,12 +13,15 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/ir_exec.hpp"
@@ -301,6 +304,22 @@ inline core::EngineStats explore_parallel(
 
 // -- Shared CLI flag parsing (--jobs / --search). ---------------------------
 
+/// Parse the value of numeric flag `flag`: decimal digits only (no sign,
+/// no spaces, no trailing characters), at most `max`. Anything else is a
+/// usage error: prints "invalid value 'X' for FLAG" and exits with status 2.
+inline uint64_t parse_unsigned_arg(const char* flag, std::string_view text,
+                                   uint64_t max = UINT64_MAX) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value > max) {
+    std::fprintf(stderr, "invalid value '%.*s' for %s\n",
+                 static_cast<int>(text.size()), text.data(), flag);
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Parse a --search value; prints a diagnostic and returns false on an
 /// unknown strategy name.
 inline bool parse_search_arg(const char* arg, core::SearchKind* out) {
@@ -313,9 +332,11 @@ inline bool parse_search_arg(const char* arg, core::SearchKind* out) {
   return true;
 }
 
-/// Parse a --jobs value; zero (or garbage) clamps to one worker.
-inline unsigned parse_jobs_arg(const char* arg) {
-  return std::max(1u, static_cast<unsigned>(std::strtoul(arg, nullptr, 0)));
+/// Parse a --jobs value (see parse_unsigned_arg); zero clamps to one
+/// worker.
+inline unsigned parse_jobs_arg(std::string_view arg) {
+  return std::max(1u, static_cast<unsigned>(
+                          parse_unsigned_arg("--jobs", arg, UINT_MAX)));
 }
 
 /// Expression-layer toggle, shared by every harness: --no-intern (fresh
@@ -340,26 +361,8 @@ inline bool parse_uop_flag(int argc, char** argv, int* i,
     config->uop_fastpath = false;
   } else if (std::strcmp(arg, "--uop-cache-size") == 0 && *i + 1 < argc) {
     config->uop_cache_blocks = std::max(
-        1u, static_cast<unsigned>(std::strtoul(argv[++*i], nullptr, 0)));
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Snapshot/fork execution knobs, shared by every harness:
-/// --snapshot-budget N (0 disables snapshots), --snapshot-interval N.
-/// Consumes the value argument (advancing *i). Returns false when argv[*i]
-/// is neither.
-inline bool parse_snapshot_flag(int argc, char** argv, int* i,
-                                core::EngineOptions* options) {
-  const char* arg = argv[*i];
-  if (std::strcmp(arg, "--snapshot-budget") == 0 && *i + 1 < argc) {
-    options->snapshot_budget =
-        static_cast<unsigned>(std::strtoul(argv[++*i], nullptr, 0));
-  } else if (std::strcmp(arg, "--snapshot-interval") == 0 && *i + 1 < argc) {
-    options->snapshot_interval = std::max(
-        1u, static_cast<unsigned>(std::strtoul(argv[++*i], nullptr, 0)));
+        1u, static_cast<unsigned>(parse_unsigned_arg(
+                "--uop-cache-size", argv[++*i], UINT32_MAX)));
   } else {
     return false;
   }
@@ -377,7 +380,8 @@ inline bool parse_snapshot_flag(int argc, char** argv, int* i,
 ///   --memory-budget-mb N      stop when resident set exceeds N MiB
 /// Consumes the value argument (advancing *i) for the valued flags. Returns
 /// false when argv[*i] is none of them; prints a diagnostic and sets *ok to
-/// false on a bad value (unknown solver name, missing argument).
+/// false on a bad value (unknown solver name, missing argument). A bad
+/// numeric value exits instead (parse_unsigned_arg).
 inline bool parse_robustness_flag(int argc, char** argv, int* i,
                                   RobustnessOptions* robust,
                                   core::EngineOptions* options, bool* ok) {
@@ -412,14 +416,16 @@ inline bool parse_robustness_flag(int argc, char** argv, int* i,
       }
     }
   } else if (std::strcmp(arg, "--query-timeout-ms") == 0 && *i + 1 < argc) {
-    robust->query_timeout_ms =
-        static_cast<uint32_t>(std::strtoul(argv[++*i], nullptr, 0));
+    robust->query_timeout_ms = static_cast<uint32_t>(
+        parse_unsigned_arg("--query-timeout-ms", argv[++*i], UINT32_MAX));
   } else if (std::strcmp(arg, "--no-failover") == 0) {
     robust->failover = false;
   } else if (std::strcmp(arg, "--deadline-secs") == 0 && *i + 1 < argc) {
-    options->deadline_secs = std::strtoull(argv[++*i], nullptr, 0);
+    options->deadline_secs = parse_unsigned_arg("--deadline-secs", argv[++*i]);
   } else if (std::strcmp(arg, "--memory-budget-mb") == 0 && *i + 1 < argc) {
-    options->memory_budget_mb = std::strtoull(argv[++*i], nullptr, 0);
+    // Capped so the MiB-to-bytes conversion cannot wrap.
+    options->memory_budget_mb =
+        parse_unsigned_arg("--memory-budget-mb", argv[++*i], UINT64_MAX >> 20);
   } else {
     return false;
   }

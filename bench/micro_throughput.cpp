@@ -181,10 +181,10 @@ void BM_LifterIrExec(benchmark::State& state) {
 }
 BENCHMARK(BM_LifterIrExec);
 
-// Reset-per-run is the other half of the per-flip cost snapshots attack:
-// with copy-on-write pages, rebinding a machine memory to the program image
-// copies the page *table* only — zero page contents — regardless of image
-// size. The benchmark sweeps the image size to pin that O(pages-in-table)
+// Reset-per-run is part of every flip's replay cost: with copy-on-write
+// pages, rebinding a machine memory to the program image copies the page
+// *table* only — zero page contents — regardless of image size. The
+// benchmark sweeps the image size to pin that O(pages-in-table)
 // behavior (per-reset time must not scale with 4 KiB page payloads), and
 // fails outright if a reset physically copies a page.
 void BM_MemoryResetCoW(benchmark::State& state) {

@@ -4,7 +4,7 @@
 //
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
-//           [--no-intern] [--snapshot-budget N] [--snapshot-interval N]
+//           [--no-intern]
 //           [--no-uop] [--uop-cache-size N]
 //           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
 //           [--no-failover] [--portfolio] [--portfolio-backends LIST]
@@ -45,10 +45,6 @@ void print_usage(std::FILE* out, const char* prog) {
       "                           path-selection strategy\n"
       "  --no-intern              disable expression hash-consing (legacy\n"
       "                           fresh-node-per-call allocator)\n"
-      "  --snapshot-budget N      live checkpoints kept per worker (0\n"
-      "                           disables snapshot/fork execution: full\n"
-      "                           replay per flip)\n"
-      "  --snapshot-interval N    min branch records between checkpoints\n"
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
       "  --uop-cache-size N       cached micro-op blocks per worker\n"
@@ -78,7 +74,7 @@ void print_usage(std::FILE* out, const char* prog) {
       "  --fault-inject SPEC      deterministic fault injection for testing\n"
       "                           (comma list of site@N / site@N+ /\n"
       "                           site@N:M; sites: solver, solver-throw,\n"
-      "                           snapshot, alloc — see docs/ROBUSTNESS.md)\n"
+      "                           alloc — see docs/ROBUSTNESS.md)\n"
       "  --show-failures          print report_fail events with inputs\n"
       "  --oracles LIST           enable bug-finding oracles: 'all' or a\n"
       "                           comma list (see --list-oracles and\n"
@@ -178,14 +174,12 @@ int main(int argc, char** argv) {
   std::string replay_file;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-paths") == 0 && i + 1 < argc) {
-      options.max_paths = std::strtoull(argv[++i], nullptr, 0);
+      options.max_paths = bench::parse_unsigned_arg("--max-paths", argv[++i]);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       options.jobs = bench::parse_jobs_arg(argv[++i]);
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &options.search)) return 2;
     } else if (bench::parse_solver_opt_flag(argv[i], &options)) {
-      // handled
-    } else if (bench::parse_snapshot_flag(argc, argv, &i, &options)) {
       // handled
     } else if (bool ok;
                bench::parse_robustness_flag(argc, argv, &i, &robust, &options,

@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/snapshot.hpp"
 #include "smt/slice.hpp"
 #include "smt/smtlib.hpp"
 #include "support/fault.hpp"
@@ -81,11 +80,6 @@ void EngineStats::merge(const EngineStats& other) {
   sliced_constraints += other.sliced_constraints;
   query_nodes_total += other.query_nodes_total;
   query_nodes_max = std::max(query_nodes_max, other.query_nodes_max);
-  snapshot_hits += other.snapshot_hits;
-  snapshot_misses += other.snapshot_misses;
-  snapshot_captures += other.snapshot_captures;
-  snapshot_evictions += other.snapshot_evictions;
-  snapshot_pages_copied += other.snapshot_pages_copied;
   findings += other.findings;
   finding_dupes += other.finding_dupes;
   candidates_checked += other.candidates_checked;
@@ -203,12 +197,11 @@ std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
 }
 
 void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
-                            Shared& shared, unsigned worker_index) {
+                            Shared& shared) {
   smt::Context& ctx = executor.context();
   EngineStats local;
   PathTrace trace;
   const uint64_t instructions_before = executor.instructions_retired();
-  const uint64_t pages_copied_before = executor.pages_copied();
   const interp::UopCounters uop_before = executor.uop_counters();
   const uint64_t nodes_before = ctx.num_nodes();
   const uint64_t intern_hits_before = ctx.intern_hits();
@@ -223,32 +216,17 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   uint64_t upstream_sat = 0, upstream_unsat = 0;  // cache or store answers
   std::vector<smt::ExprRef> prefix;  // as-taken branches ∧ assumptions
 
-  // Snapshot/fork state (also strictly per-worker: snapshots hold
-  // per-context ExprRefs, so handles never cross workers — a migrated job
-  // replays from the entry point instead).
-  const bool use_snapshots =
-      opts.snapshot_budget > 0 && executor.supports_snapshots();
-  SnapshotPool snapshot_pool(use_snapshots ? opts.snapshot_budget : 0);
-  std::vector<std::shared_ptr<const Snapshot>> captures;
-  const SnapshotPlan plan{use_snapshots ? &captures : nullptr,
-                          std::max(1u, opts.snapshot_interval),
-                          opts.fault_plan.get()};
-
   // Per-job crash isolation: a job whose processing threw is recorded and
-  // requeued (snapshot handle dropped — re-execution from the entry point
-  // avoids whatever state the failure left behind) until its retry budget
-  // is spent, then dropped as poisonous. Either way the run continues and
-  // the merged result is marked incomplete.
+  // requeued until its retry budget is spent, then dropped as poisonous.
+  // Either way the run continues and the merged result is marked
+  // incomplete.
   FlipJob job;
   auto on_job_error = [&](const char* what) {
     ++local.worker_errors;
     shared.mark_incomplete(std::string("worker error: ") + what);
     if (job.retries < opts.max_job_retries) {
-      FlipJob retry;
-      retry.seed = job.seed;
-      retry.bound = job.bound;
-      retry.flip_pc = job.flip_pc;
-      retry.retries = job.retries + 1;
+      FlipJob retry = job;
+      ++retry.retries;
       ++local.jobs_requeued;
       shared.frontier.push(std::move(retry));
     } else {
@@ -286,35 +264,9 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     }
 
     try {
+    // Offline execution: every job replays its seed from the entry point.
     smt::Assignment seed = seed_from_job(ctx, job);
-
-    // Resume from the job's checkpoint when it is still alive and owned by
-    // this worker; otherwise replay from the entry point. Either way the
-    // run captures fresh checkpoints for the flips it is about to schedule.
-    captures.clear();
-    bool resumed = false;
-    if (use_snapshots) {
-      std::shared_ptr<const Snapshot> snap;
-      if (job.snapshot_worker == worker_index) snap = job.snapshot.lock();
-      if (snap && executor.resume(*snap, seed, trace, plan)) {
-        resumed = true;
-        ++local.snapshot_hits;
-        // The checkpoint this run grew from is valid for its children too
-        // (they share the prefix up to its depth); make it the shallowest
-        // capture so near-bound flips get a handle without re-capturing.
-        captures.insert(captures.begin(), std::move(snap));
-      } else if (job.snapshot_worker != FlipJob::kNoSnapshot) {
-        ++local.snapshot_misses;
-      }
-    }
-    if (!resumed) {
-      if (use_snapshots) {
-        executor.run_with_snapshots(seed, trace, plan);
-      } else {
-        executor.run(seed, trace);
-      }
-    }
-    local.snapshot_captures += captures.size() - (resumed ? 1 : 0);
+    executor.run(seed, trace);
     ++local.paths;
     local.failures += trace.failures.size();
     local.max_branch_depth =
@@ -557,25 +509,12 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
       ++local.feasible_flips;
       smt::Assignment next_seed = over_seed(flipped.model);
       // Fault site: building the child job is the allocation-heaviest step
-      // of the flip loop (portable seed copy), so the kAlloc site fires
-      // here as well as at snapshot captures.
+      // of the flip loop (portable seed copy), so the kAlloc site fires here.
       if (opts.fault_plan &&
           opts.fault_plan->fire(support::FaultSite::kAlloc))
         throw std::bad_alloc();
-      FlipJob child = make_flip_job(ctx, next_seed, i + 1,
-                                    trace.branches[i].pc);
-      // Hand the child the deepest checkpoint at or above its flip point
-      // (the branch being flipped must itself re-execute, so depth <= i)
-      // and pin it in the pool so the handle survives until the job runs.
-      if (use_snapshots) {
-        if (std::shared_ptr<const Snapshot> snap =
-                deepest_at_most(captures, i)) {
-          child.snapshot = snap;
-          child.snapshot_worker = worker_index;
-          snapshot_pool.insert(snap);
-        }
-      }
-      shared.frontier.push(std::move(child));
+      shared.frontier.push(
+          make_flip_job(ctx, next_seed, i + 1, trace.branches[i].pc));
     }
     } catch (const std::exception& e) {
       on_job_error(e.what());
@@ -585,8 +524,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     shared.frontier.job_done();
   }
 
-  local.snapshot_evictions = snapshot_pool.evictions();
-  local.snapshot_pages_copied = executor.pages_copied() - pages_copied_before;
   local.instructions = executor.instructions_retired() - instructions_before;
   const interp::UopCounters uop_after = executor.uop_counters();
   local.uop_blocks_compiled = uop_after.blocks_compiled - uop_before.blocks_compiled;
@@ -635,10 +572,10 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
   // failures, so anything escaping it is infrastructure-level (executor
   // construction state, frontier corruption, bad_alloc outside a job).
   // The run degrades to a partial report instead of rethrowing.
-  auto guarded_loop = [this, &shared](Executor& executor, smt::Solver& solver,
-                                      unsigned worker_index) {
+  auto guarded_loop = [this, &shared](Executor& executor,
+                                      smt::Solver& solver) {
     try {
-      worker_loop(executor, solver, shared, worker_index);
+      worker_loop(executor, solver, shared);
     } catch (const std::exception& e) {
       shared.mark_incomplete(std::string("worker died: ") + e.what());
       {
@@ -664,10 +601,10 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
       WorkerResources res = factory_(0);
       std::unique_ptr<smt::Solver> solver = wrap_solver(std::move(res.solver));
       solver_name = solver->name();
-      guarded_loop(*res.executor, *solver, 0);
+      guarded_loop(*res.executor, *solver);
     } else {
       solver_name = solver_->name();
-      guarded_loop(*executor_, *solver_, 0);
+      guarded_loop(*executor_, *solver_);
     }
   } else {
     // Build every worker's resources up front (the factory need not be
@@ -690,9 +627,8 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
     pool.reserve(jobs);
     for (unsigned i = 0; i < jobs; ++i) {
       Worker& w = workers[i];
-      pool.emplace_back([&guarded_loop, &w, i] {
-        guarded_loop(*w.res.executor, *w.solver, i);
-      });
+      pool.emplace_back(
+          [&guarded_loop, &w] { guarded_loop(*w.res.executor, *w.solver); });
     }
     for (std::thread& t : pool) t.join();
   }

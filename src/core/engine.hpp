@@ -15,7 +15,9 @@
 //
 // The driver stays generic over Executor, so all four engines of the
 // evaluation share one search implementation; only the instruction->SMT
-// translation differs, which is the comparison the paper makes. With
+// translation differs, which is the comparison the paper makes. All four
+// replay: every FlipJob re-executes its seed from the program entry point
+// (Executor::run), so no engine carries a checkpoint/resume advantage. With
 // jobs == 1 the same worker loop runs inline on the calling thread and
 // reproduces the classic sequential exploration exactly (same path order,
 // same counts, same queries).
@@ -75,20 +77,6 @@ struct EngineOptions {
   /// change cost, never the explored path set. Null disables.
   /// CLI: --solver-store DIR.
   std::shared_ptr<smt::SolverStore> solver_store;
-  // -- Snapshot/fork execution (snapshot.hpp). Snapshots may change only
-  // cost, never the explored path set — resumed runs are bit-identical to
-  // full replays.
-  /// Per-worker SnapshotPool capacity: live checkpoints kept for pending
-  /// flips (scored LRU eviction; evicted handles fall back to replay). Each
-  /// scheduled flip resumes from the deepest reusable copy-on-write
-  /// checkpoint instead of re-executing from the entry point. 0 disables
-  /// snapshotting (full replay); so does an executor without
-  /// supports_snapshots(). CLI: --snapshot-budget.
-  unsigned snapshot_budget = 128;
-  /// Minimum branch records between two captures within one run. Smaller =
-  /// denser checkpoints = less re-execution per resume but more capture
-  /// work and pool pressure. CLI: --snapshot-interval.
-  unsigned snapshot_interval = 4;
   /// Measure the effective (post-slicing) flip queries: distinct DAG nodes
   /// per query, accumulated into EngineStats. Costs one DAG walk per flip;
   /// meant for the SMT ablation bench, off in production explorations.
@@ -99,7 +87,7 @@ struct EngineOptions {
   /// artifact (any SMT-LIB solver can replay the exploration's queries).
   /// Numbering is a global claim order across workers.
   std::string smtlib_dump_dir;
-  // -- Static analysis consumers (src/analysis). Like snapshots and the
+  // -- Static analysis consumers (src/analysis). Like the cache and the
   // store, pruning may change only cost, never behavior: candidates
   // it skips are proven unsat, so path sets and finding sets are invariant
   // (pinned by tests/test_analysis.cpp).
@@ -135,8 +123,8 @@ struct EngineOptions {
   /// run forever). Every such error marks the result incomplete.
   unsigned max_job_retries = 1;
   /// Deterministic fault injection (support/fault.hpp): fail the Nth
-  /// solver check / snapshot capture / instrumented allocation. Null
-  /// disables every site. CLI: explore --fault-inject SPEC.
+  /// solver check / instrumented allocation. Null disables every site.
+  /// CLI: explore --fault-inject SPEC.
   std::shared_ptr<support::FaultPlan> fault_plan;
 };
 
@@ -163,13 +151,9 @@ struct EngineStats {
   uint64_t query_nodes_total = 0;   // effective query DAG nodes, summed
   uint64_t query_nodes_max = 0;     // ... and the largest single query
                                     // (both only with measure_query_nodes)
-  uint64_t snapshot_hits = 0;       // runs resumed from a checkpoint
-  uint64_t snapshot_misses = 0;     // runs whose handle was evicted or
-                                    // crossed workers (fell back to replay)
-  uint64_t snapshot_captures = 0;   // checkpoints captured across all runs
-  uint64_t snapshot_evictions = 0;  // pool evictions (budget pressure)
-  uint64_t snapshot_pages_copied = 0;  // guest pages physically duplicated
-                                       // by copy-on-write breaks
+  // Always 0: snapshot/fork execution is gone; perfbench/bench_e2e reads them.
+  uint64_t snapshot_hits = 0, snapshot_misses = 0, snapshot_captures = 0,
+           snapshot_evictions = 0, snapshot_pages_copied = 0;
   // -- Bug-finding oracles (finding.hpp). Zero unless an ExecObserver was
   // attached to the executors.
   uint64_t findings = 0;             // unique findings this engine inserted
@@ -287,8 +271,7 @@ class DseEngine {
   struct Shared;  // exploration-wide mutable state (engine.cpp)
 
   std::unique_ptr<smt::Solver> wrap_solver(std::unique_ptr<smt::Solver> raw);
-  void worker_loop(Executor& executor, smt::Solver& solver, Shared& shared,
-                   unsigned worker_index);
+  void worker_loop(Executor& executor, smt::Solver& solver, Shared& shared);
 
   Executor* executor_ = nullptr;          // single-executor form
   std::unique_ptr<smt::Solver> solver_;   // single-executor form (wrapped)

@@ -1,12 +1,8 @@
 #include "core/executor.hpp"
 
-#include <algorithm>
-#include <new>
 #include <stdexcept>
 
-#include "core/snapshot.hpp"
 #include "interp/uop_run.hpp"
-#include "support/fault.hpp"
 #include "support/format.hpp"
 
 namespace binsym::core {
@@ -90,33 +86,7 @@ void BinSymExecutor::run(const smt::Assignment& seed, PathTrace& trace) {
   trace.clear();
   machine_.reset(program_.image, program_.entry, config_.stack_top, seed,
                  trace);
-  loop(nullptr, 0);
-}
-
-void BinSymExecutor::run_with_snapshots(const smt::Assignment& seed,
-                                        PathTrace& trace,
-                                        const SnapshotPlan& plan) {
-  if (!plan.sink) return run(seed, trace);
-  trace.clear();
-  machine_.reset(program_.image, program_.entry, config_.stack_top, seed,
-                 trace);
-  loop(&plan, std::max<uint64_t>(1, plan.interval));
-}
-
-bool BinSymExecutor::resume(const Snapshot& snap, const smt::Assignment& seed,
-                            PathTrace& trace, const SnapshotPlan& plan) {
-  trace.clear();
-  machine_.restore(snap, seed, trace);
-  if (plan.sink) {
-    loop(&plan, snap.depth() + std::max<uint64_t>(1, plan.interval));
-  } else {
-    loop(nullptr, 0);
-  }
-  return true;
-}
-
-uint64_t BinSymExecutor::pages_copied() const {
-  return machine_.memory().concrete().pages_copied();
+  loop();
 }
 
 const interp::BlockCache::Block* BinSymExecutor::lookup_or_compile(
@@ -141,29 +111,13 @@ const interp::BlockCache::Block* BinSymExecutor::lookup_or_compile(
   return cache_.finish_compile(pc, count, bytes);
 }
 
-void BinSymExecutor::loop(const SnapshotPlan* plan, uint64_t next_capture) {
+void BinSymExecutor::loop() {
   PathTrace& trace = machine_.trace();
   // The fast path never fires the per-instruction hooks, so it must stay
-  // off while any are attached. It is safe across capture points: a block
-  // adds no branch records (symbolic conditions bail), so the capture
-  // condition below cannot become true at an intra-block boundary.
+  // off while any are attached.
   const bool fast = config_.uop_fastpath && !trace_hook_ && !observer_;
   ConcolicPolicy policy{machine_, cache_};
   while (machine_.running()) {
-    if (plan && trace.branches.size() >= next_capture) {
-      // Fault sites (SnapshotPlan::faults): an injected allocation failure
-      // propagates like a real one; an injected capture fault just drops
-      // this checkpoint (the affected flips replay from the entry point).
-      if (plan->faults && plan->faults->fire(support::FaultSite::kAlloc))
-        throw std::bad_alloc();
-      if (!plan->faults ||
-          !plan->faults->fire(support::FaultSite::kSnapshot)) {
-        auto snap = std::make_shared<Snapshot>();
-        machine_.capture(snap.get());
-        plan->sink->push_back(std::move(snap));
-      }
-      next_capture = trace.branches.size() + plan->interval;
-    }
     if (trace.steps >= config_.max_steps) {
       machine_.stop(ExitReason::kMaxSteps);
       break;

@@ -106,36 +106,18 @@ class Executor {
   /// observer must outlive the executor's runs. Default: ignored.
   virtual void set_observer(ExecObserver* observer) { (void)observer; }
 
-  // -- Snapshot/fork support (optional; see snapshot.hpp). -------------------
-  //
-  // Executors that can checkpoint their machine state override all four.
-  // The engine only passes a SnapshotPlan when supports_snapshots() is
-  // true, and falls back to run() whenever resume() declines. The defaults
-  // make every executor a correct (replay-only) participant.
-
-  /// Whether run_with_snapshots()/resume() actually checkpoint.
+  // Kept only because perfbench/tracing.hpp overrides these four.
   virtual bool supports_snapshots() const { return false; }
-
-  /// Like run(), additionally capturing copy-on-write checkpoints into
-  /// `plan.sink` every `plan.interval` branch records (ascending depth).
   virtual void run_with_snapshots(const smt::Assignment& seed,
                                   PathTrace& trace, const SnapshotPlan& plan) {
     (void)plan;
     run(seed, trace);
   }
-
-  /// Resume a run from `snap` under a new seed: restore + re-shadow the
-  /// state, prefill `trace` with the snapshot's prefix, and execute from
-  /// the checkpoint (capturing further checkpoints per `plan`). Returns
-  /// false when this executor cannot resume (caller must run() instead).
   virtual bool resume(const Snapshot& snap, const smt::Assignment& seed,
                       PathTrace& trace, const SnapshotPlan& plan) {
     (void)snap, (void)seed, (void)trace, (void)plan;
     return false;
   }
-
-  /// Pages physically duplicated by guest-memory copy-on-write breaks
-  /// across all runs (0 for executors without CoW state).
   virtual uint64_t pages_copied() const { return 0; }
 
   /// Micro-op fast-path counters across all runs (all zero for executors
@@ -156,12 +138,6 @@ class BinSymExecutor final : public Executor {
   void run(const smt::Assignment& seed, PathTrace& trace) override;
   uint64_t instructions_retired() const override { return retired_; }
 
-  bool supports_snapshots() const override { return true; }
-  void run_with_snapshots(const smt::Assignment& seed, PathTrace& trace,
-                          const SnapshotPlan& plan) override;
-  bool resume(const Snapshot& snap, const smt::Assignment& seed,
-              PathTrace& trace, const SnapshotPlan& plan) override;
-  uint64_t pages_copied() const override;
   interp::UopCounters uop_counters() const override {
     return {cache_.blocks_compiled(), cache_.cache_hits(), guard_bails_,
             cache_.invalidations(), machine_.memory().pages_clean_skipped()};
@@ -179,10 +155,8 @@ class BinSymExecutor final : public Executor {
   void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
 
  private:
-  /// The interpretation loop shared by all three entry points; when `plan`
-  /// is non-null, captures a checkpoint at every instruction boundary where
-  /// the trace has reached `next_capture` branch records.
-  void loop(const SnapshotPlan* plan, uint64_t next_capture);
+  /// The interpretation loop of run(), from the machine's current state.
+  void loop();
 
   const interp::BlockCache::Block* lookup_or_compile(uint32_t pc);
 

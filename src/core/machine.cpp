@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "core/snapshot.hpp"
-
 namespace binsym::core {
 
 const char* exit_reason_name(ExitReason reason) {
@@ -33,61 +31,6 @@ void SymMachine::reset(const ConcreteMemory& image, uint32_t entry,
   seed_ = &seed;
   trace_ = &trace;
   if (observer_) observer_->begin_run(trace);
-}
-
-void SymMachine::capture(Snapshot* out) const {
-  out->regs = regs_;
-  out->csrs = csrs_;
-  out->memory = memory_.concrete();  // CoW: shares pages, copies the table
-  out->symbolic = memory_.symbolic_bytes();
-  out->pc = pc_;
-  out->next_pc = next_pc_;
-  out->input_counter = input_counter_;
-  out->branches = trace_->branches;
-  out->assumptions = trace_->assumptions;
-  out->failures = trace_->failures;
-  out->input_vars = trace_->input_vars;
-  out->output = trace_->output;
-  out->oracle_hits = trace_->oracle_hits;
-  out->oracle_candidates = trace_->oracle_candidates;
-  out->steps = trace_->steps;
-  out->observer_state = observer_ ? observer_->capture_state() : nullptr;
-}
-
-void SymMachine::restore(const Snapshot& snap, const smt::Assignment& seed,
-                         PathTrace& trace) {
-  regs_ = snap.regs;
-  csrs_ = snap.csrs;
-  memory_.restore(snap.memory, snap.symbolic);
-  pc_ = snap.pc;
-  next_pc_ = snap.next_pc;
-  input_counter_ = snap.input_counter;
-  seed_ = &seed;
-  trace_ = &trace;
-  trace.branches = snap.branches;
-  trace.assumptions = snap.assumptions;
-  trace.failures = snap.failures;
-  trace.input_vars = snap.input_vars;
-  trace.output = snap.output;
-  trace.oracle_hits = snap.oracle_hits;
-  trace.oracle_candidates = snap.oracle_candidates;
-  trace.steps = snap.steps;
-  trace.exit = ExitReason::kRunning;
-  trace.exit_code = 0;
-  if (observer_) observer_->resume_run(trace, snap.observer_state);
-
-  // Re-shadow: the captured concrete values of *symbolic* state are those
-  // of the snapshotting run's seed; re-evaluate them under the new one.
-  // One memoizing evaluator across all roots — symbolic registers and
-  // memory bytes share most of their sub-DAGs.
-  smt::CachingEvaluator eval(seed);
-  for (Value& reg : regs_) {
-    if (reg.symbolic()) reg.conc = eval.evaluate(reg.sym);
-  }
-  for (auto& [csr, value] : csrs_) {
-    if (value.symbolic()) value.conc = eval.evaluate(value.sym);
-  }
-  memory_.reshadow(eval);
 }
 
 uint64_t SymMachine::concretize(const Value& value) {

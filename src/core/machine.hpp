@@ -28,8 +28,6 @@
 
 namespace binsym::core {
 
-struct Snapshot;
-
 class SymMachine {
  public:
   using Value = interp::SymValue;
@@ -40,21 +38,6 @@ class SymMachine {
   /// the stack pointer, and attach the run's trace + input seed.
   void reset(const ConcreteMemory& image, uint32_t entry, uint32_t stack_top,
              const smt::Assignment& seed, PathTrace& trace);
-
-  /// Capture the complete machine state plus the attached trace's prefix
-  /// into `out` (snapshot.hpp). Must be called at an instruction boundary.
-  /// O(dirty pages + symbolic bytes + trace prefix); the memory pages
-  /// themselves are shared copy-on-write, not copied.
-  void capture(Snapshot* out) const;
-
-  /// Start a new path from `snap` instead of the entry point: restore the
-  /// captured state, copy the trace prefix into `trace`, attach the run's
-  /// seed, and re-evaluate every symbolic concrete shadow (registers, CSRs,
-  /// memory bytes) under the new seed. Sound whenever `seed` satisfies the
-  /// snapshot's branch-prefix constraints and assumptions — which the
-  /// engine's flip queries guarantee by construction.
-  void restore(const Snapshot& snap, const smt::Assignment& seed,
-               PathTrace& trace);
 
   // -- Machine stepping support (used by executors). ---------------------------
 
@@ -80,8 +63,8 @@ class SymMachine {
   /// Whether pc lies on a mapped page (guards fetch_word; an unmapped pc
   /// ends the run with ExitReason::kBadFetch).
   bool fetch_mapped() const { return memory_.mapped(pc_); }
-  /// The run artifacts being filled; valid between reset()/restore() and
-  /// the end of the run.
+  /// The run artifacts being filled; valid between reset() and the end of
+  /// the run.
   PathTrace& trace() { return *trace_; }
   ConcolicMemory& memory() { return memory_; }
   const ConcolicMemory& memory() const { return memory_; }
@@ -89,8 +72,8 @@ class SymMachine {
   smt::Context& context() { return ctx_; }
 
   /// Attach a bug-finding observer (src/oracles), or null to detach. The
-  /// observer must outlive every subsequent run; it receives begin_run /
-  /// resume_run from reset()/restore() and the per-event hooks below.
+  /// observer must outlive every subsequent run; it receives begin_run
+  /// from reset() and the per-event hooks below.
   /// Null (the default) keeps the hot paths free of observer work.
   void set_observer(ExecObserver* observer) { observer_ = observer; }
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "smt/eval.hpp"
 #include "support/bits.hpp"
 
 namespace binsym::core {
@@ -78,13 +77,6 @@ void ConcolicMemory::store_concrete(uint32_t addr, unsigned bytes,
   concrete_.write(addr, bytes, value);
   if (range_concrete(addr, bytes)) return;  // clean pages: no shadow to clear
   for (unsigned i = 0; i < bytes; ++i) erase_symbolic_byte(addr + i);
-}
-
-void ConcolicMemory::reshadow(smt::CachingEvaluator& eval) {
-  for (const auto& [addr, expr] : symbolic_) {
-    uint8_t value = static_cast<uint8_t>(eval.evaluate(expr));
-    if (concrete_.read8(addr) != value) concrete_.write8(addr, value);
-  }
 }
 
 void ConcolicMemory::poke_symbolic(uint32_t addr, smt::ExprRef byte_expr,

@@ -4,8 +4,8 @@
 // semantics: pages are immutable shared buffers, copying a memory (or
 // rebinding it to a program image) copies only the page *table*, and a page
 // is physically duplicated the first time a writer that shares it stores a
-// byte. This is what makes both the classic reset-per-run and the snapshot
-// subsystem (snapshot.hpp) O(dirty pages) instead of O(image).
+// byte. This is what makes reset-per-run O(dirty pages) instead of
+// O(image).
 //
 // ConcolicMemory layers a symbolic shadow over it: any byte may
 // additionally carry an 8-bit expression; loads reassemble wide values from
@@ -30,10 +30,6 @@
 
 #include "interp/value.hpp"
 #include "smt/context.hpp"
-
-namespace binsym::smt {
-class CachingEvaluator;
-}
 
 namespace binsym::core {
 
@@ -73,10 +69,10 @@ class ConcreteMemory {
   void load_image(uint32_t addr, const std::vector<uint8_t>& bytes);
 
   /// Share `other`'s pages without copying any of them — O(page table).
-  /// This is the reset-per-run / snapshot-restore primitive: subsequent
-  /// writes copy-on-write the affected page only. Unlike plain assignment
-  /// it preserves this instance's pages_copied() counter, which tracks
-  /// physical copy work across the instance's lifetime.
+  /// This is the reset-per-run primitive: subsequent writes copy-on-write
+  /// the affected page only. Unlike plain assignment it preserves this
+  /// instance's pages_copied() counter, which tracks physical copy work
+  /// across the instance's lifetime.
   void rebind(const ConcreteMemory& other) { pages_ = other.pages_; }
 
   /// Mapped (ever-touched) pages — a size metric, not a bounds check:
@@ -95,8 +91,8 @@ class ConcreteMemory {
       it->second = std::make_shared<Page>();
       it->second->fill(0);
     } else if (it->second.use_count() > 1) {
-      // Copy-on-write break: someone else (an image, a snapshot, a sibling
-      // fork) still references this page.
+      // Copy-on-write break: someone else (the program image, a copy)
+      // still references this page.
       it->second = std::make_shared<Page>(*it->second);
       ++pages_copied_;
     }
@@ -164,26 +160,6 @@ class ConcolicMemory {
   /// (used by sym_input).
   void poke_symbolic(uint32_t addr, smt::ExprRef byte_expr, uint8_t conc);
 
-  /// The symbolic shadow: byte address -> 8-bit expression. Exposed for the
-  /// snapshot subsystem (capture copies it, restore rebinds it).
-  const std::unordered_map<uint32_t, smt::ExprRef>& symbolic_bytes() const {
-    return symbolic_;
-  }
-
-  /// Snapshot-restore primitive: rebind the concrete store to `concrete`
-  /// (copy-on-write, like reset) and replace the symbolic shadow.
-  void restore(const ConcreteMemory& concrete,
-               const std::unordered_map<uint32_t, smt::ExprRef>& symbolic) {
-    concrete_.rebind(concrete);
-    symbolic_ = symbolic;
-    rebuild_page_counts();
-  }
-
-  /// Recompute the concrete shadow of every symbolic byte under `eval`'s
-  /// assignment (snapshot resume under a new input seed). Bytes whose value
-  /// is unchanged are left alone so they do not break page sharing.
-  void reshadow(smt::CachingEvaluator& eval);
-
   size_t num_symbolic_bytes() const { return symbolic_.size(); }
 
  private:
@@ -200,14 +176,6 @@ class ConcolicMemory {
     if (symbolic_.erase(addr) == 0) return;
     auto it = symbolic_page_counts_.find(addr >> ConcreteMemory::kPageBits);
     if (--it->second == 0) symbolic_page_counts_.erase(it);
-  }
-
-  void rebuild_page_counts() {
-    symbolic_page_counts_.clear();
-    for (const auto& [addr, expr] : symbolic_) {
-      (void)expr;
-      ++symbolic_page_counts_[addr >> ConcreteMemory::kPageBits];
-    }
   }
 
   smt::Context& ctx_;

@@ -8,18 +8,14 @@
 // implements them. Keeping the interface in core avoids a layering
 // inversion: core never links against the oracle implementations.
 //
-// Lifecycle: begin_run() opens every fresh run (SymMachine::reset);
-// resume_run() opens a run restored from a Snapshot, handing back the state
-// object capture_state() produced at the checkpoint — observers carry
-// per-run state (e.g. a shadow call stack), and snapshot/fork execution
-// must restore it for resumed runs to stay bit-identical to full replays.
+// Lifecycle: begin_run() opens every run (SymMachine::reset); observers
+// carry per-run state (e.g. a shadow call stack) and reset it there.
 //
 // Thread-safety: an observer instance is confined to one engine worker
 // (like the executor and smt::Context it observes); nothing here locks.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "dsl/ast.hpp"
 #include "interp/value.hpp"
@@ -39,17 +35,6 @@ class ExecObserver {
   /// `trace` is where hits/candidates for this run are recorded and stays
   /// valid until the run ends.
   virtual void begin_run(PathTrace& trace) = 0;
-
-  /// A run resumes from a snapshot whose capture_state() result is `state`
-  /// (null if the checkpoint was captured without an observer attached —
-  /// treat as a fresh run's state).
-  virtual void resume_run(PathTrace& trace,
-                          const std::shared_ptr<const void>& state) = 0;
-
-  /// Snapshot the observer's per-run state (called at instruction
-  /// boundaries by SymMachine::capture). The result is opaque to the
-  /// engine and only ever handed back to the same observer type.
-  virtual std::shared_ptr<const void> capture_state() const = 0;
 
   // -- Events. ---------------------------------------------------------------
 

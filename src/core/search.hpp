@@ -50,8 +50,6 @@ struct SeedEntry {
   uint64_t value = 0;
 };
 
-struct Snapshot;
-
 /// A pending branch-flip work item: execute the program under `seed` and
 /// schedule flips only for branches with index >= `bound` (everything below
 /// is pinned prefix, already explored elsewhere).
@@ -62,16 +60,6 @@ struct FlipJob {
   uint64_t seq = 0;     // global insertion order, assigned by the Frontier
   uint32_t retries = 0; // times this job errored and was requeued (the
                         // engine drops it past EngineOptions::max_job_retries)
-
-  /// Deepest reusable checkpoint for this flip (snapshot.hpp), weak so the
-  /// owning worker's SnapshotPool controls lifetime: an evicted handle
-  /// expires and the job falls back to full replay. Snapshots hold
-  /// per-context ExprRefs, so only the worker whose index matches
-  /// `snapshot_worker` may lock and use the handle; on any other worker the
-  /// job replays from the entry point.
-  std::weak_ptr<const Snapshot> snapshot;
-  static constexpr uint32_t kNoSnapshot = ~0u;
-  uint32_t snapshot_worker = kNoSnapshot;  // owning worker, kNoSnapshot = none
 };
 
 /// Convert an engine-side Assignment (context var ids) into portable form.

@@ -1,137 +1,9 @@
-// Snapshot/fork execution: copy-on-write state checkpoints.
-//
-// Every scheduled branch flip used to re-execute its trace from the program
-// entry point. A Snapshot captures the complete concolic machine state at
-// an instruction boundary — register file, CSRs, the copy-on-write memory
-// fork, and the partial PathTrace up to that point — so exploration can
-// resume a flip from the deepest reusable checkpoint instead. Capturing is
-// O(dirty pages + symbolic bytes + trace prefix); the guest image is never
-// copied (memory.hpp).
-//
-// Resuming under a *different* input seed is sound because everything
-// seed-dependent in the state is re-derivable: symbolic values carry their
-// defining expression, so restore() re-evaluates every symbolic shadow
-// (registers, CSRs, memory bytes) under the new seed, while pure-concrete
-// values are seed-independent along a shared branch prefix (the flip query
-// pins the prefix branches and every address-concretization assumption made
-// up to the flip point). The resumed run is therefore bit-identical to a
-// full replay under the same seed — the engine's determinism tests pin this.
-//
-// Thread-safety: snapshots are strictly per-worker. They hold ExprRefs,
-// which are only meaningful in the owning worker's smt::Context, so a
-// FlipJob that migrates to another worker must fall back to full replay
-// (the job stores the owning worker's index next to the handle). Jobs hold
-// weak handles; the per-worker SnapshotPool holds the owning references,
-// so evicting from the pool is what actually frees checkpoint memory —
-// an evicted handle simply expires and the flip replays from the entry.
+// Kept only because perfbench/tracing.hpp includes this header.
 #pragma once
-
-#include <array>
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <unordered_map>
-#include <vector>
-
-#include "core/memory.hpp"
-#include "core/path.hpp"
-#include "interp/value.hpp"
-
-namespace binsym::support {
-class FaultPlan;
-}
 
 namespace binsym::core {
 
-/// One checkpoint: machine state at an instruction boundary plus the trace
-/// prefix that led there. Immutable once captured (shared between the pool
-/// and any number of pending FlipJobs).
-struct Snapshot {
-  // -- Machine state (SymMachine::capture / SymMachine::restore). -----------
-  std::array<interp::SymValue, 32> regs;
-  std::unordered_map<uint32_t, interp::SymValue> csrs;
-  ConcreteMemory memory;  // copy-on-write fork of the concrete store
-  std::unordered_map<uint32_t, smt::ExprRef> symbolic;  // symbolic shadow
-  uint32_t pc = 0;
-  uint32_t next_pc = 0;
-  unsigned input_counter = 0;
-
-  // -- Trace prefix at the capture point. -----------------------------------
-  std::vector<BranchRecord> branches;
-  std::vector<Assumption> assumptions;
-  std::vector<Failure> failures;
-  std::vector<uint32_t> input_vars;
-  std::string output;
-  std::vector<OracleHit> oracle_hits;            // oracle detections in the
-  std::vector<OracleCandidate> oracle_candidates;  // prefix (finding.hpp)
-  uint64_t steps = 0;
-
-  /// Executor-specific extra state (e.g. the VP's quantum keeper). Captured
-  /// and interpreted only by the executor type that produced the snapshot.
-  std::shared_ptr<const void> extra;
-
-  /// Per-run state of the attached ExecObserver (shadow call stack, per-run
-  /// dedup set) at the capture point; null when none was attached. Restored
-  /// via ExecObserver::resume_run so resumed runs raise bit-identical
-  /// detections to full replays.
-  std::shared_ptr<const void> observer_state;
-
-  /// Branch depth of the checkpoint: number of branch records in the
-  /// prefix. A snapshot can serve any flip of branch index >= depth().
-  size_t depth() const { return branches.size(); }
-};
-
-/// Capture request handed to a snapshot-capable Executor::run. The executor
-/// appends checkpoints (in strictly increasing depth order) to `sink`
-/// whenever the trace has grown by at least `interval` branch records since
-/// the previous capture.
-struct SnapshotPlan {
-  std::vector<std::shared_ptr<const Snapshot>>* sink = nullptr;
-  uint64_t interval = 4;  // min branch records between captures (>= 1)
-  /// Fault injection (support/fault.hpp): at each capture site the
-  /// executor fires kAlloc (throws std::bad_alloc, as a real allocation
-  /// failure would) then kSnapshot (the capture is silently skipped — the
-  /// affected flips degrade to replay). Null disables both.
-  support::FaultPlan* faults = nullptr;
-};
-
-/// The deepest snapshot with depth() <= `depth` among `captures`, which
-/// must be sorted by ascending depth (the order executors emit them in);
-/// null when none qualifies.
-std::shared_ptr<const Snapshot> deepest_at_most(
-    std::span<const std::shared_ptr<const Snapshot>> captures, size_t depth);
-
-/// Bounded per-worker keep-alive store for snapshots referenced by pending
-/// FlipJobs. Eviction is scored LRU: the victim is the entry with the
-/// lowest depth×reuse score ((depth+1) * (times re-inserted + 1)), oldest
-/// first on ties — shallow, rarely shared checkpoints go first, since
-/// replaying them is cheap and they back the fewest jobs.
-///
-/// Not thread-safe; each engine worker owns one.
-class SnapshotPool {
- public:
-  /// `budget` is the maximum number of live snapshots (>= 1 to be useful;
-  /// 0 keeps nothing, turning every handle into an immediate miss).
-  explicit SnapshotPool(size_t budget) : budget_(budget) {}
-
-  /// Keep `snap` alive. Re-inserting a pooled snapshot bumps its reuse
-  /// score instead of duplicating it; inserting past the budget evicts.
-  void insert(const std::shared_ptr<const Snapshot>& snap);
-
-  size_t size() const { return entries_.size(); }
-  uint64_t evictions() const { return evictions_; }
-
- private:
-  struct Entry {
-    std::shared_ptr<const Snapshot> snap;
-    uint64_t reuses = 0;    // times insert() saw this snapshot again
-    uint64_t last_use = 0;  // LRU tie-break (monotonic insert tick)
-  };
-
-  size_t budget_;
-  uint64_t tick_ = 0;
-  uint64_t evictions_ = 0;
-  std::vector<Entry> entries_;  // budget-bounded; linear scans are fine
-};
+struct Snapshot;
+struct SnapshotPlan;
 
 }  // namespace binsym::core

@@ -33,19 +33,6 @@ std::string engine_stats_report(const EngineStats& stats) {
       s.incremental_checks
           ? static_cast<double>(s.reused_assertions) / s.incremental_checks
           : 0.0);
-  // Snapshot/fork execution (snapshot.hpp): checkpoint reuse vs replay
-  // fallback, pool pressure, and the physical copy-on-write cost. Elided
-  // when snapshotting never ran (disabled, or a replay-only executor).
-  if (stats.snapshot_hits || stats.snapshot_misses ||
-      stats.snapshot_captures || stats.snapshot_evictions ||
-      stats.snapshot_pages_copied) {
-    out += strprintf(
-        "snapshots: hits=%llu misses=%llu captures=%llu evictions=%llu "
-        "pages-copied=%llu\n",
-        u(stats.snapshot_hits), u(stats.snapshot_misses),
-        u(stats.snapshot_captures), u(stats.snapshot_evictions),
-        u(stats.snapshot_pages_copied));
-  }
   // Bug-finding oracles (finding.hpp). Elided when no observer was
   // attached (all four counters zero).
   if (stats.findings || stats.finding_dupes || stats.candidates_checked ||

@@ -5,10 +5,10 @@
 // is its own GuestStoreWatch — every guest store (fast path, spec path,
 // sym_input) reports here; the touched pages drop their blocks and are
 // poisoned permanently, and lowering refuses to read from poisoned pages.
-// Because poisoned pages survive cache flushes, machine resets and snapshot
-// restores, a cached block's bytes always equal the program image's bytes
-// no matter which run, fork or checkpoint the machine is currently
-// executing — so restores need no image comparison and no cache flush.
+// Because poisoned pages survive cache flushes and machine resets, a cached
+// block's bytes always equal the program image's bytes no matter which run
+// the machine is currently executing — so resets need no image comparison
+// and no cache flush.
 //
 // Thread-safety: none — one BlockCache per interpreter per worker, like the
 // machine it watches. Debug builds assert single-thread ownership.

@@ -1,9 +1,9 @@
 // Micro-op compilation: straight-line guest code lowered to flat buffers.
 //
 // The per-instruction spec evaluator walks a semantics AST for every retired
-// instruction; with solver cost (query pipeline), re-execution (snapshots)
-// and candidate pruning (static analysis) already cheap, that walk is the
-// engine's dominant cost. This layer decodes a straight-line run of RV32IM
+// instruction; with solver cost (query pipeline) and candidate pruning
+// (static analysis) already cheap, that walk over every replayed prefix is
+// the engine's dominant cost. This layer decodes a straight-line run of RV32IM
 // instructions — up to the next branch, jump or system op — once, into an
 // arena-allocated array of micro-ops with pre-resolved immediates, and
 // executes it with threaded dispatch (uop_run.hpp). The fast path only ever

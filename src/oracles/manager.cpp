@@ -77,16 +77,6 @@ void OracleManager::begin_run(core::PathTrace& trace) {
   run_ = RunState{};
 }
 
-void OracleManager::resume_run(core::PathTrace& trace,
-                               const std::shared_ptr<const void>& state) {
-  trace_ = &trace;
-  run_ = state ? *static_cast<const RunState*>(state.get()) : RunState{};
-}
-
-std::shared_ptr<const void> OracleManager::capture_state() const {
-  return std::make_shared<RunState>(run_);
-}
-
 void OracleManager::on_instruction(uint32_t pc, const isa::Decoded& decoded) {
   pc_ = pc;
   size_ = decoded.size;

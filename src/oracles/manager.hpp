@@ -13,10 +13,7 @@
 //     return address the stack-smash oracle checks;
 //   * per-run dedup — identical detections from one run (loops!) collapse
 //     before they reach the trace; the global cross-path dedup lives in
-//     core::FindingLog;
-//   * snapshot support — capture_state()/resume_run() checkpoint the
-//     shadow stack and dedup sets so snapshot-resumed runs raise
-//     bit-identical detections to full replays.
+//     core::FindingLog.
 #pragma once
 
 #include <memory>
@@ -83,9 +80,6 @@ class OracleManager final : public core::ExecObserver {
   // -- core::ExecObserver. ---------------------------------------------------
 
   void begin_run(core::PathTrace& trace) override;
-  void resume_run(core::PathTrace& trace,
-                  const std::shared_ptr<const void>& state) override;
-  std::shared_ptr<const void> capture_state() const override;
   void on_instruction(uint32_t pc, const isa::Decoded& decoded) override;
   void on_load(const interp::SymValue& addr, unsigned bytes) override;
   void on_store(const interp::SymValue& addr, unsigned bytes,
@@ -98,7 +92,7 @@ class OracleManager final : public core::ExecObserver {
   void on_reach(uint32_t id) override;
 
  private:
-  /// Everything per-run, in checkpointable form.
+  /// Everything per-run (begin_run resets it).
   struct RunState {
     std::vector<uint32_t> shadow;            // expected return addresses
     std::unordered_set<uint64_t> seen_hits;  // finding_key()

@@ -28,7 +28,7 @@ bool parse_clause(const std::string& clause, FaultPlan* plan,
   std::optional<FaultSite> site = parse_site(clause.substr(0, at));
   if (!site)
     return fail(error, "unknown fault site '" + clause.substr(0, at) +
-                           "' (want solver, solver-throw, snapshot or alloc)");
+                           "' (want solver, solver-throw or alloc)");
 
   FaultPlan::Rule rule;
   const char* cursor = clause.c_str() + at + 1;
@@ -59,7 +59,6 @@ const char* fault_site_name(FaultSite site) {
   switch (site) {
     case FaultSite::kSolverUnknown: return "solver";
     case FaultSite::kSolverThrow:   return "solver-throw";
-    case FaultSite::kSnapshot:      return "snapshot";
     case FaultSite::kAlloc:         return "alloc";
     case FaultSite::kNumFaultSites: break;
   }

@@ -1,8 +1,8 @@
 // Deterministic fault injection for the robustness test harness.
 //
 // A FaultPlan names *which occurrence* of an instrumented operation should
-// fail: "the 3rd solver check returns unknown", "every 2nd snapshot capture
-// starting at the 5th is dropped", "the 1st child-job allocation throws
+// fail: "the 3rd solver check returns unknown", "every 2nd solver check
+// starting at the 5th throws", "the 1st child-job allocation throws
 // bad_alloc". Sites keep per-site occurrence counters, so a plan is fully
 // deterministic for a deterministic exploration — the same run hits the
 // same faults in the same places, which is what lets the fault-matrix
@@ -18,8 +18,6 @@
 //
 //   solver         the check returns CheckResult::kUnknown
 //   solver-throw   the check throws support::FaultInjected
-//   snapshot       the snapshot capture is silently skipped (run degrades
-//                  to replay-based resume for the affected flips)
 //   alloc          an instrumented allocation throws std::bad_alloc
 //
 // Thread-safety: fire() is safe from any number of engine workers; the
@@ -44,7 +42,6 @@ namespace binsym::support {
 enum class FaultSite : uint8_t {
   kSolverUnknown,  // "solver": check degrades to kUnknown
   kSolverThrow,    // "solver-throw": check throws FaultInjected
-  kSnapshot,       // "snapshot": capture silently skipped
   kAlloc,          // "alloc": instrumented allocation throws bad_alloc
   kNumFaultSites,
 };

@@ -1,11 +1,5 @@
 #include "vp/vp_executor.hpp"
 
-#include <algorithm>
-#include <new>
-
-#include "core/snapshot.hpp"
-#include "support/fault.hpp"
-
 namespace binsym::vp {
 
 VpExecutor::VpExecutor(smt::Context& ctx, const isa::Decoder& decoder,
@@ -33,59 +27,12 @@ void VpExecutor::run(const smt::Assignment& seed, core::PathTrace& trace) {
   machine_.reset(program_.image, program_.entry, config_.stack_top, seed,
                  trace);
   uart_.set_sink(&trace.output);
-  loop(nullptr, 0);
+  loop();
 }
 
-void VpExecutor::run_with_snapshots(const smt::Assignment& seed,
-                                    core::PathTrace& trace,
-                                    const core::SnapshotPlan& plan) {
-  if (!plan.sink) return run(seed, trace);
-  trace.clear();
-  machine_.reset(program_.image, program_.entry, config_.stack_top, seed,
-                 trace);
-  uart_.set_sink(&trace.output);
-  loop(&plan, std::max<uint64_t>(1, plan.interval));
-}
-
-bool VpExecutor::resume(const core::Snapshot& snap,
-                        const smt::Assignment& seed, core::PathTrace& trace,
-                        const core::SnapshotPlan& plan) {
-  // Snapshots of this executor carry the quantum keeper in `extra`; one
-  // without it was captured by some other executor type and cannot restore
-  // the simulated-time state.
-  if (!snap.extra) return false;
-  trace.clear();
-  machine_.restore(snap, seed, trace);
-  keeper_ = *std::static_pointer_cast<const QuantumKeeper>(snap.extra);
-  uart_.set_sink(&trace.output);
-  if (plan.sink) {
-    loop(&plan, snap.depth() + std::max<uint64_t>(1, plan.interval));
-  } else {
-    loop(nullptr, 0);
-  }
-  return true;
-}
-
-uint64_t VpExecutor::pages_copied() const {
-  return machine_.memory().concrete().pages_copied();
-}
-
-void VpExecutor::loop(const core::SnapshotPlan* plan, uint64_t next_capture) {
+void VpExecutor::loop() {
   core::PathTrace& trace = machine_.trace();
   while (machine_.running()) {
-    if (plan && trace.branches.size() >= next_capture) {
-      // Same fault sites as BinSymExecutor::loop (SnapshotPlan::faults).
-      if (plan->faults && plan->faults->fire(support::FaultSite::kAlloc))
-        throw std::bad_alloc();
-      if (!plan->faults ||
-          !plan->faults->fire(support::FaultSite::kSnapshot)) {
-        auto snap = std::make_shared<core::Snapshot>();
-        machine_.capture(snap.get());
-        snap->extra = std::make_shared<const QuantumKeeper>(keeper_);
-        plan->sink->push_back(std::move(snap));
-      }
-      next_capture = trace.branches.size() + plan->interval;
-    }
     if (trace.steps >= config_.max_steps) {
       machine_.stop(core::ExitReason::kMaxSteps);
       break;

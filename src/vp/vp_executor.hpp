@@ -91,13 +91,6 @@ class VpExecutor final : public core::Executor {
   void run(const smt::Assignment& seed, core::PathTrace& trace) override;
   uint64_t instructions_retired() const override { return retired_; }
 
-  bool supports_snapshots() const override { return true; }
-  void run_with_snapshots(const smt::Assignment& seed, core::PathTrace& trace,
-                          const core::SnapshotPlan& plan) override;
-  bool resume(const core::Snapshot& snap, const smt::Assignment& seed,
-              core::PathTrace& trace, const core::SnapshotPlan& plan) override;
-  uint64_t pages_copied() const override;
-
   bool supports_observer() const override { return true; }
   void set_observer(core::ExecObserver* observer) override {
     observer_ = observer;
@@ -116,9 +109,8 @@ class VpExecutor final : public core::Executor {
   const QuantumKeeper& quantum_keeper() const { return keeper_; }
 
  private:
-  /// Shared bus-interpretation loop; captures checkpoints (including the
-  /// quantum keeper in Snapshot::extra) when `plan` is non-null.
-  void loop(const core::SnapshotPlan* plan, uint64_t next_capture);
+  /// The bus-interpretation loop of run(), from the machine's current state.
+  void loop();
 
   core::ExecObserver* observer_ = nullptr;
   smt::Context& ctx_;

@@ -1,5 +1,6 @@
-// Guest memory tests: paged concrete store and the concolic symbolic
-// shadow (byte reassembly, store scattering, constant-collapse).
+// Guest memory tests: paged concrete store (including its copy-on-write
+// page sharing) and the concolic symbolic shadow (byte reassembly, store
+// scattering, constant-collapse).
 #include <gtest/gtest.h>
 
 #include "core/memory.hpp"
@@ -105,6 +106,59 @@ TEST_F(ConcolicMemoryTest, ResetClearsShadow) {
   mem.reset(ConcreteMemory{});
   EXPECT_EQ(mem.num_symbolic_bytes(), 0u);
   EXPECT_EQ(mem.read_concrete(0x500, 1), 0u);
+}
+
+// -- Copy-on-write page semantics. ------------------------------------------
+
+TEST(CowMemory, CopySharesPagesUntilFirstWrite) {
+  ConcreteMemory a;
+  a.write8(0x10, 7);
+  ConcreteMemory b = a;  // table copy: zero pages duplicated so far
+  EXPECT_EQ(b.read8(0x10), 7);
+
+  b.write8(0x10, 9);  // CoW break in b only
+  EXPECT_EQ(a.read8(0x10), 7);
+  EXPECT_EQ(b.read8(0x10), 9);
+  EXPECT_EQ(a.pages_copied(), 0u);
+  EXPECT_EQ(b.pages_copied() - a.pages_copied(), 1u);
+}
+
+TEST(CowMemory, SiblingForksAreIsolated) {
+  ConcreteMemory parent;
+  parent.write(0x100, 4, 0xcafebabe);
+  ConcreteMemory fork1 = parent;
+  ConcreteMemory fork2 = parent;
+  fork1.write8(0x100, 0x11);
+  fork2.write8(0x100, 0x22);
+  EXPECT_EQ(parent.read(0x100, 4), 0xcafebabeu);
+  EXPECT_EQ(fork1.read8(0x100), 0x11);
+  EXPECT_EQ(fork2.read8(0x100), 0x22);
+  // A write to an already-private page must not copy again.
+  uint64_t copies = fork1.pages_copied();
+  fork1.write8(0x101, 0x33);
+  EXPECT_EQ(fork1.pages_copied(), copies);
+}
+
+TEST(CowMemory, ResetRebindsImagePagesWithoutCopying) {
+  ConcreteMemory image;
+  for (uint32_t p = 0; p < 16; ++p)
+    image.write8(p * ConcreteMemory::kPageSize, 0xab);
+
+  smt::Context ctx;
+  core::ConcolicMemory mem(ctx);
+  for (int run = 0; run < 3; ++run) {
+    mem.reset(image);
+    EXPECT_EQ(mem.concrete().num_pages(), 16u);
+    EXPECT_EQ(mem.concrete().pages_copied(), 0u) << "reset copied a page";
+    EXPECT_EQ(mem.read_concrete(0, 1), 0xabu);
+  }
+  // The first write after a reset breaks exactly one page...
+  mem.store(0x2, 1, interp::sval(0x44, 8));
+  EXPECT_EQ(mem.concrete().pages_copied(), 1u);
+  // ...privately: the image (and thus the next reset) is untouched.
+  EXPECT_EQ(image.read8(0x2), 0);
+  mem.reset(image);
+  EXPECT_EQ(mem.read_concrete(0x2, 1), 0u);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 //     --oracles spec parsing;
 //   * the detection campaign — every workloads/buggy-*.s known bug set is
 //     found *exactly* (no dupes, no misses) across {dfs, coverage} x
-//     jobs {1, 4} x snapshot {on, off}, with identical (oracle, pc,
-//     call-depth) triples in every configuration;
+//     jobs {1, 4}, with identical (oracle, pc, call-depth) triples in
+//     every configuration;
 //   * witness replay — every emitted witness input, run concretely,
 //     reproduces its finding as an observed hit at the same site;
 //   * non-interference — attaching oracles changes no explored path set,
@@ -208,69 +208,64 @@ TEST_F(OracleTest, CampaignFindsEveryKnownBugSetExactly) {
     for (core::SearchKind search :
          {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
       for (unsigned jobs : {1u, 4u}) {
-        for (bool snapshots : {true, false}) {
-          SCOPED_TRACE(strprintf("search=%s jobs=%u snapshots=%d",
-                                 core::search_kind_name(search), jobs,
-                                 snapshots));
-          core::EngineOptions options;
-          options.search = search;
-          options.jobs = jobs;
-          if (!snapshots) options.snapshot_budget = 0;
-          options.snapshot_interval = 1;  // stress resume with oracle state
-          core::DseEngine engine(factory(program, /*with_oracles=*/true),
-                                 options);
-          core::EngineStats stats = engine.explore();
-          std::vector<core::Finding> findings = engine.findings();
+        SCOPED_TRACE(strprintf("search=%s jobs=%u",
+                               core::search_kind_name(search), jobs));
+        core::EngineOptions options;
+        options.search = search;
+        options.jobs = jobs;
+        core::DseEngine engine(factory(program, /*with_oracles=*/true),
+                               options);
+        core::EngineStats stats = engine.explore();
+        std::vector<core::Finding> findings = engine.findings();
 
-          // No dupes in the log itself, and the stats agree with it.
-          std::set<Key> keys;
-          for (const core::Finding& f : findings) keys.insert(key_of(f));
-          EXPECT_EQ(keys.size(), findings.size());
-          EXPECT_EQ(stats.findings, findings.size());
-          // Candidates and flips share one answer path, so every logical
-          // query is a cache hit or a cache miss.
-          EXPECT_EQ(stats.solver.queries,
-                    stats.solver.cache_hits + stats.solver.cache_misses);
+        // No dupes in the log itself, and the stats agree with it.
+        std::set<Key> keys;
+        for (const core::Finding& f : findings) keys.insert(key_of(f));
+        EXPECT_EQ(keys.size(), findings.size());
+        EXPECT_EQ(stats.findings, findings.size());
+        // Candidates and flips share one answer path, so every logical
+        // query is a cache hit or a cache miss.
+        EXPECT_EQ(stats.solver.queries,
+                  stats.solver.cache_hits + stats.solver.cache_misses);
 
-          // Exactly the known bug set, as (oracle, depth) pairs.
-          std::multiset<std::pair<OracleKind, uint32_t>> got, want;
-          for (const core::Finding& f : findings)
-            got.insert({f.oracle, f.call_depth});
-          for (const auto& bug : expected.bugs) want.insert(bug);
-          EXPECT_EQ(got, want);
+        // Exactly the known bug set, as (oracle, depth) pairs.
+        std::multiset<std::pair<OracleKind, uint32_t>> got, want;
+        for (const core::Finding& f : findings)
+          got.insert({f.oracle, f.call_depth});
+        for (const auto& bug : expected.bugs) want.insert(bug);
+        EXPECT_EQ(got, want);
 
-          // Bit-identical (oracle, pc, depth) triples across every
-          // configuration.
-          if (!have_reference) {
-            reference = keys;
-            have_reference = true;
-          } else {
-            EXPECT_EQ(keys, reference);
-          }
+        // Bit-identical (oracle, pc, depth) triples across every
+        // configuration.
+        if (!have_reference) {
+          reference = keys;
+          have_reference = true;
+        } else {
+          EXPECT_EQ(keys, reference);
+        }
 
-          // Every witness replays concretely to the same finding.
-          for (const core::Finding& f : findings) {
-            smt::Context replay_ctx;
-            core::BinSymExecutor executor(replay_ctx, decoder, registry,
-                                          program);
-            std::string error;
-            auto manager = oracles::OracleManager::make(
-                replay_ctx,
-                oracles::MemoryMap::for_program(
-                    program, core::MachineConfig{}.stack_top),
-                "all", &error);
-            ASSERT_TRUE(manager) << error;
-            executor.set_observer(manager.get());
-            core::PathTrace trace;
-            executor.run(oracles::witness_seed(replay_ctx, f.input), trace);
-            bool reproduced = false;
-            for (const core::OracleHit& hit : trace.oracle_hits)
-              reproduced |= hit.oracle == f.oracle && hit.pc == f.pc &&
-                            hit.call_depth == f.call_depth;
-            EXPECT_TRUE(reproduced)
-                << "witness does not replay to "
-                << core::oracle_kind_name(f.oracle) << " at pc " << f.pc;
-          }
+        // Every witness replays concretely to the same finding.
+        for (const core::Finding& f : findings) {
+          smt::Context replay_ctx;
+          core::BinSymExecutor executor(replay_ctx, decoder, registry,
+                                        program);
+          std::string error;
+          auto manager = oracles::OracleManager::make(
+              replay_ctx,
+              oracles::MemoryMap::for_program(
+                  program, core::MachineConfig{}.stack_top),
+              "all", &error);
+          ASSERT_TRUE(manager) << error;
+          executor.set_observer(manager.get());
+          core::PathTrace trace;
+          executor.run(oracles::witness_seed(replay_ctx, f.input), trace);
+          bool reproduced = false;
+          for (const core::OracleHit& hit : trace.oracle_hits)
+            reproduced |= hit.oracle == f.oracle && hit.pc == f.pc &&
+                          hit.call_depth == f.call_depth;
+          EXPECT_TRUE(reproduced)
+              << "witness does not replay to "
+              << core::oracle_kind_name(f.oracle) << " at pc " << f.pc;
         }
       }
     }

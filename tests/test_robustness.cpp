@@ -38,8 +38,8 @@ TEST(FaultPlanParse, SingleShotClause) {
   EXPECT_EQ(plan->occurrences(FaultSite::kSolverUnknown), 4u);
   EXPECT_EQ(plan->fired(FaultSite::kSolverUnknown), 1u);
   // Other sites are untouched by the clause.
-  EXPECT_FALSE(plan->fire(FaultSite::kSnapshot));
-  EXPECT_EQ(plan->fired(FaultSite::kSnapshot), 0u);
+  EXPECT_FALSE(plan->fire(FaultSite::kAlloc));
+  EXPECT_EQ(plan->fired(FaultSite::kAlloc), 0u);
 }
 
 TEST(FaultPlanParse, OpenEndedClause) {
@@ -53,10 +53,10 @@ TEST(FaultPlanParse, OpenEndedClause) {
 }
 
 TEST(FaultPlanParse, PeriodicClause) {
-  auto plan = FaultPlan::parse("snapshot@2:3");
+  auto plan = FaultPlan::parse("alloc@2:3");
   ASSERT_TRUE(plan);
   std::vector<bool> hits;
-  for (int i = 0; i < 9; ++i) hits.push_back(plan->fire(FaultSite::kSnapshot));
+  for (int i = 0; i < 9; ++i) hits.push_back(plan->fire(FaultSite::kAlloc));
   // Fires at occurrences 2, 5, 8.
   EXPECT_EQ(hits, (std::vector<bool>{false, true, false, false, true, false,
                                      false, true, false}));
@@ -236,8 +236,7 @@ TEST_F(RobustnessTest, FaultMatrixNeverCrashesAndNeverInventsPaths) {
   ASSERT_GE(baseline.size(), 3u);
 
   const char* specs[] = {"solver@2",       "solver@1+",      "solver@2:2",
-                         "solver-throw@1", "solver-throw@1+", "snapshot@1+",
-                         "alloc@1"};
+                         "solver-throw@1", "solver-throw@1+", "alloc@1"};
   const SearchKind searches[] = {SearchKind::kDepthFirst,
                                  SearchKind::kCoverageGuided};
   for (const char* spec : specs) {

@@ -166,11 +166,6 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
   stats.sliced_constraints = 22;
   stats.query_nodes_total = 23;
   stats.query_nodes_max = 24;
-  stats.snapshot_hits = 25;
-  stats.snapshot_misses = 26;
-  stats.snapshot_captures = 27;
-  stats.snapshot_evictions = 28;
-  stats.snapshot_pages_copied = 29;
   stats.findings = 30;
   stats.finding_dupes = 31;
   stats.candidates_checked = 32;
@@ -217,9 +212,7 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
       "workers=3",         "attempted=14",       "feasible=15",
       "infeasible=16",     "divergences=17",     "max-depth=18",
       "peak-frontier=19",  "sliced-out=22",
-      "total=23",          "max=24",
-      "hits=25",           "misses=26",          "captures=27",
-      "evictions=28",      "pages-copied=29",    "findings=30",
+      "total=23",          "max=24",             "findings=30",
       "dupes=31",          "candidates=32",      "feasible=33",
       "proved=34",         "unknown=35",         "mismatches=36",
       "blocks=48",         "hits=49",            "bails=50",
@@ -240,13 +233,12 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
 }
 
 TEST_F(StatsTest, ReportElidesZeroValuedOptionalSections) {
-  // A minimal sequential exploration: no snapshots ran, no oracles were
-  // attached, query-node measurement was off — those sections must not
+  // A minimal sequential exploration: no oracles were attached,
+  // query-node measurement was off — those sections must not
   // clutter the report; the always-on sections must stay.
   EngineStats stats;
   stats.solver_name = "z3";
   std::string report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "snapshots:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "oracles:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "static:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "uops:"), 0u) << report;
@@ -262,10 +254,6 @@ TEST_F(StatsTest, ReportElidesZeroValuedOptionalSections) {
   EXPECT_EQ(occurrences(report, "opts:"), 1u);
 
   // Any nonzero counter resurrects its section — and only it.
-  stats.snapshot_captures = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "snapshots:"), 1u);
-  EXPECT_EQ(occurrences(report, "oracles:"), 0u);
   stats.candidates_checked = 1;
   report = engine_stats_report(stats);
   EXPECT_EQ(occurrences(report, "oracles:"), 1u);

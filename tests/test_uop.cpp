@@ -690,8 +690,8 @@ TEST_F(UopParallel, WorkerPrivateCachesExploreIdenticallyAcrossJobs) {
 
 // -- Table I bit-identity sweep. ---------------------------------------------
 //
-// The fast path may only change cost: across search strategies, worker
-// counts and snapshot modes, the discovered path set and failures must be
+// The fast path may only change cost: across search strategies and worker
+// counts, the discovered path set and failures must be
 // bit-identical with the micro-op fast path on and off. This is the
 // acceptance bar of the subsystem (and what keeps Table I reproduction
 // intact). Excluded from the sanitizer CI jobs like the other
@@ -706,10 +706,7 @@ TEST_P(UopWorkloadIdentity, PathSetInvariantAcrossFastPathStrategiesJobs) {
 
   core::MachineConfig reference_config;
   reference_config.uop_fastpath = false;
-  core::EngineOptions reference_options;
-  reference_options.snapshot_budget = 0;
-  Exploration reference = explore(program, reference_config,
-                                  reference_options);
+  Exploration reference = explore(program, reference_config, {});
   EXPECT_GT(reference.stats.paths, 100u);
   EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
 
@@ -718,29 +715,24 @@ TEST_P(UopWorkloadIdentity, PathSetInvariantAcrossFastPathStrategiesJobs) {
     for (core::SearchKind kind :
          {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
       for (unsigned jobs : {1u, 4u}) {
-        for (bool snapshots : {true, false}) {
-          if (!uop && kind == core::SearchKind::kDepthFirst && jobs == 1 &&
-              !snapshots)
-            continue;  // the reference configuration
-          core::MachineConfig mconfig;
-          mconfig.uop_fastpath = uop;
-          core::EngineOptions options;
-          options.search = kind;
-          options.jobs = jobs;
-          if (!snapshots) options.snapshot_budget = 0;
-          Exploration run = explore(program, mconfig, options);
-          std::string label = std::string(uop ? "uop" : "spec") + " " +
-                              core::search_kind_name(kind) +
-                              " jobs=" + std::to_string(jobs) +
-                              (snapshots ? " snapshot" : " replay");
-          EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
-          EXPECT_EQ(run.path_keys, reference.path_keys) << label;
-          EXPECT_EQ(run.failures, reference.failures) << label;
-          if (uop) {
-            saw_fast_path_work |= run.stats.uop_blocks_compiled > 0;
-          } else {
-            EXPECT_EQ(run.stats.uop_blocks_compiled, 0u) << label;
-          }
+        if (!uop && kind == core::SearchKind::kDepthFirst && jobs == 1)
+          continue;  // the reference configuration
+        core::MachineConfig mconfig;
+        mconfig.uop_fastpath = uop;
+        core::EngineOptions options;
+        options.search = kind;
+        options.jobs = jobs;
+        Exploration run = explore(program, mconfig, options);
+        std::string label = std::string(uop ? "uop" : "spec") + " " +
+                            core::search_kind_name(kind) +
+                            " jobs=" + std::to_string(jobs);
+        EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
+        EXPECT_EQ(run.path_keys, reference.path_keys) << label;
+        EXPECT_EQ(run.failures, reference.failures) << label;
+        if (uop) {
+          saw_fast_path_work |= run.stats.uop_blocks_compiled > 0;
+        } else {
+          EXPECT_EQ(run.stats.uop_blocks_compiled, 0u) << label;
         }
       }
     }
