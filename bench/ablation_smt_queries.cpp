@@ -15,10 +15,7 @@
 // Path counts are printed so every row doubles as a determinism check —
 // they must not move across configurations, the intern toggle included.
 //
-// Two backend-layer rows extend the sweep (see docs/SOLVERS.md): a
-// "portfolio" row re-running the default pipeline with the racing solver
-// portfolio (path counts must not move — the race may only change who
-// answers, never what is explored), and a "persistent" row running the
+// A "persistent" row extends the sweep (see docs/SOLVERS.md): it runs the
 // default pipeline twice over one content-addressed solver store — the
 // reported stats are the warm second run, and on the query-heavy
 // base64-encode/uri-parser workloads the warm run must issue at least 5x
@@ -43,20 +40,18 @@ namespace {
 struct Config {
   const char* name;
   bool intern = true;
-  bool portfolio = false;   // race z3 + bitblast per query
   bool persistent = false;  // cold + warm pair over one solver store
 };
 
 // "default" is the exploration every other row is compared against. The
 // "no-intern" row re-runs it with expression hash-consing off (the legacy
 // fresh-node-per-call allocator), isolating how much of the query DAG size
-// the intern arena's structural sharing removes; the "portfolio" and
-// "persistent" rows swap the backend layer under it (docs/SOLVERS.md).
+// the intern arena's structural sharing removes; the "persistent" row puts
+// a solver store under it (docs/SOLVERS.md).
 constexpr Config kConfigs[] = {
     {"default"},
     {"no-intern", /*intern=*/false},
-    {"portfolio", true, /*portfolio=*/true},
-    {"persistent", true, false, /*persistent=*/true},
+    {"persistent", true, /*persistent=*/true},
 };
 
 /// Checks the backend actually ran: queries it neither answered from the
@@ -78,10 +73,8 @@ core::EngineStats measure(const std::string& engine,
   options.intern_exprs = config.intern;
   options.measure_query_nodes = true;
 
-  bench::EngineSetup local = setup;
-  local.robust.portfolio = config.portfolio;
   if (!config.persistent)
-    return bench::explore_parallel(engine, local, options);
+    return bench::explore_parallel(engine, setup, options);
 
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -89,9 +82,9 @@ core::EngineStats measure(const std::string& engine,
           .string();
   std::filesystem::remove_all(dir);
   options.solver_store = smt::SolverStore::open(dir);
-  *cold_out = bench::explore_parallel(engine, local, options);
+  *cold_out = bench::explore_parallel(engine, setup, options);
   options.solver_store = smt::SolverStore::open(dir);
-  core::EngineStats warm = bench::explore_parallel(engine, local, options);
+  core::EngineStats warm = bench::explore_parallel(engine, setup, options);
   std::filesystem::remove_all(dir);
   return warm;
 }
@@ -113,7 +106,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "ABLATION: SMT QUERY COMPLEXITY — translation strategy x solver "
-      "pipeline {default, no-intern, portfolio, persistent}%s\n",
+      "pipeline {default, no-intern, persistent}%s\n",
       quick ? " (quick)" : "");
   std::printf("%-16s %-8s %-13s %8s %8s %10s %9s %10s %10s\n", "Benchmark",
               "engine", "config", "paths", "queries", "avg nodes", "max nodes",
@@ -216,9 +209,9 @@ int main(int argc, char** argv) {
       "\nNotes: identical expression layer + folding on both engines, so "
       "equal node counts answer the paper's open question. The no-intern "
       "row re-runs the default pipeline with hash-consing off; paths must "
-      "not move and query nodes must not shrink. The portfolio row races "
-      "z3 + bitblast per query; the persistent row is the warm second run "
-      "over a solver store its cold twin populated (docs/SOLVERS.md) — on "
+      "not move and query nodes must not shrink. The persistent row is the "
+      "warm second run over a solver store its cold twin populated "
+      "(docs/SOLVERS.md) — on "
       "base64-encode/uri-parser the warm run must issue >=5x fewer "
       "backend calls. JSON lines: BENCH_smt_queries.json\n");
   if (failures) {

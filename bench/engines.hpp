@@ -29,7 +29,6 @@
 #include "isa/decoder.hpp"
 #include "oracles/manager.hpp"
 #include "smt/pipe.hpp"
-#include "smt/portfolio.hpp"
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
 #include "vp/vp_executor.hpp"
@@ -46,27 +45,7 @@ struct RobustnessOptions {
                                   // "pipe:CMD" (docs/SOLVERS.md)
   uint32_t query_timeout_ms = 0;  // per-query deadline; 0 = none
   bool failover = true;           // retry unknowns on the other backend
-  // -- Solver portfolio (smt/portfolio.hpp). When on, each worker's backend
-  // is a portfolio racing `portfolio_backends` per query; `solver` and
-  // `failover` are ignored (a portfolio is already as strong as its
-  // strongest member, so layering a failover on top would be redundant).
-  bool portfolio = false;                          // CLI: --portfolio
-  std::string portfolio_backends = "z3,bitblast";  // comma list of backend
-                                                   // names as in `solver`
 };
-
-/// Split a --portfolio-backends comma list into backend names.
-inline std::vector<std::string> split_backend_list(const std::string& list) {
-  std::vector<std::string> names;
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    if (comma > pos) names.push_back(list.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return names;
-}
 
 struct EngineSetup {
   const isa::Decoder& decoder;
@@ -85,21 +64,22 @@ struct EngineSetup {
   bool intern_exprs = true;
 };
 
-/// A backend by CLI name — "z3", "bitblast", or "pipe:CMD" (an external
-/// SMT-LIB solver command, e.g. "pipe:z3 -in"; see smt/pipe.hpp); null on
-/// other names.
-inline std::unique_ptr<smt::Solver> make_named_solver(const std::string& name,
-                                                      smt::Context& ctx) {
-  if (name == "z3") return smt::make_z3_solver(ctx);
-  if (name == "bitblast") return smt::make_bitblast_solver(ctx);
-  if (name.rfind("pipe:", 0) == 0)
-    return smt::make_pipe_solver(ctx, name.substr(5));
-  return nullptr;
+/// True when `name` is a backend make_named_solver can build: "z3",
+/// "bitblast", or "pipe:CMD" with a non-blank CMD (an external SMT-LIB
+/// solver command, e.g. "pipe:z3 -in"; see smt/pipe.hpp).
+inline bool known_backend(const std::string& name) {
+  return name == "z3" || name == "bitblast" ||
+         (name.rfind("pipe:", 0) == 0 &&
+          !smt::split_command(name.substr(5)).empty());
 }
 
-/// True when `name` is a backend make_named_solver can build.
-inline bool known_backend(const std::string& name) {
-  return name == "z3" || name == "bitblast" || name.rfind("pipe:", 0) == 0;
+/// A backend by CLI name (see known_backend); null on other names.
+inline std::unique_ptr<smt::Solver> make_named_solver(const std::string& name,
+                                                      smt::Context& ctx) {
+  if (!known_backend(name)) return nullptr;
+  if (name == "z3") return smt::make_z3_solver(ctx);
+  if (name == "bitblast") return smt::make_bitblast_solver(ctx);
+  return smt::make_pipe_solver(ctx, name.substr(5));
 }
 
 /// Build the worker solver stack described by `robust` on `ctx`: the named
@@ -109,20 +89,6 @@ inline bool known_backend(const std::string& name) {
 /// default configuration is byte-identical to the pre-robustness one.
 inline std::unique_ptr<smt::Solver> make_robust_solver(
     const RobustnessOptions& robust, smt::Context& ctx) {
-  if (robust.portfolio) {
-    std::vector<std::unique_ptr<smt::Solver>> members;
-    for (const std::string& name : split_backend_list(robust.portfolio_backends)) {
-      std::unique_ptr<smt::Solver> member = make_named_solver(name, ctx);
-      if (!member) return nullptr;
-      members.push_back(std::move(member));
-    }
-    if (members.empty()) return nullptr;
-    std::unique_ptr<smt::Solver> solver =
-        smt::make_portfolio_solver(std::move(members));
-    if (robust.query_timeout_ms > 0)
-      solver->set_deadline_ms(robust.query_timeout_ms);
-    return solver;
-  }
   std::unique_ptr<smt::Solver> solver = make_named_solver(robust.solver, ctx);
   if (!solver) return nullptr;
   if (robust.query_timeout_ms == 0) return solver;
@@ -374,8 +340,6 @@ inline bool parse_uop_flag(int argc, char** argv, int* i,
 ///   --solver NAME             primary backend (z3 | bitblast | pipe:CMD)
 ///   --query-timeout-ms N      per-solver-query deadline (0 = none)
 ///   --no-failover             don't retry unknowns on the other backend
-///   --portfolio               race backends per query (smt/portfolio.hpp)
-///   --portfolio-backends LIST comma list of portfolio members
 ///   --deadline-secs N         wall-clock budget for the whole exploration
 ///   --memory-budget-mb N      stop when resident set exceeds N MiB
 /// Consumes the value argument (advancing *i) for the valued flags. Returns
@@ -394,26 +358,6 @@ inline bool parse_robustness_flag(int argc, char** argv, int* i,
                    "unknown solver '%s' (want z3, bitblast or pipe:CMD)\n",
                    robust->solver.c_str());
       *ok = false;
-    }
-  } else if (std::strcmp(arg, "--portfolio") == 0) {
-    robust->portfolio = true;
-  } else if (std::strcmp(arg, "--portfolio-backends") == 0 && *i + 1 < argc) {
-    robust->portfolio_backends = argv[++*i];
-    robust->portfolio = true;  // naming members implies wanting the portfolio
-    const std::vector<std::string> names =
-        split_backend_list(robust->portfolio_backends);
-    if (names.empty()) {
-      std::fprintf(stderr, "--portfolio-backends: empty backend list\n");
-      *ok = false;
-    }
-    for (const std::string& name : names) {
-      if (!known_backend(name)) {
-        std::fprintf(
-            stderr,
-            "unknown portfolio backend '%s' (want z3, bitblast or pipe:CMD)\n",
-            name.c_str());
-        *ok = false;
-      }
     }
   } else if (std::strcmp(arg, "--query-timeout-ms") == 0 && *i + 1 < argc) {
     robust->query_timeout_ms = static_cast<uint32_t>(

@@ -7,7 +7,7 @@
 //           [--no-intern]
 //           [--no-uop] [--uop-cache-size N]
 //           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
-//           [--no-failover] [--portfolio] [--portfolio-backends LIST]
+//           [--no-failover]
 //           [--solver-store DIR]
 //           [--deadline-secs N] [--memory-budget-mb N] [--fault-inject SPEC]
 //           [--show-failures] [--oracles LIST] [--findings-dir DIR]
@@ -57,12 +57,6 @@ void print_usage(std::FILE* out, const char* prog) {
       "                           is skipped, never treated as infeasible\n"
       "  --no-failover            do not retry unknown/failed queries on\n"
       "                           the other backend\n"
-      "  --portfolio              race the portfolio backends per query and\n"
-      "                           keep the first definitive answer\n"
-      "  --portfolio-backends LIST\n"
-      "                           comma list of portfolio members, each one\n"
-      "                           of z3, bitblast, pipe:CMD (default\n"
-      "                           z3,bitblast; implies --portfolio)\n"
       "  --solver-store DIR       persistent content-addressed query/model\n"
       "                           store: load prior verdicts from\n"
       "                           DIR/store.bin, record new ones, flush at\n"

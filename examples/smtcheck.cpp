@@ -7,8 +7,8 @@
 //
 // Its reason to exist is the pipe solver (src/smt/pipe.cpp): `smtcheck`
 // speaks the exact protocol the pipe backend expects, so the external-
-// process path can be exercised hermetically — in tests, CI and solver
-// portfolios — on machines with no z3/cvc5 binary installed. It also
+// process path can be exercised hermetically — in tests and CI — on
+// machines with no z3/cvc5 binary installed. It also
 // doubles as a handy command-line checker for queries dumped by
 // --smtlib-dump-dir.
 //

@@ -78,21 +78,6 @@ std::string engine_stats_report(const EngineStats& stats) {
                      u(stats.exprs_interned), u(stats.intern_hits),
                      u(stats.arena_bytes));
   }
-  // Solver portfolio (smt/portfolio.hpp): how many checks raced vs were
-  // routed to a single member, loser checks cancelled, and decided checks
-  // per winning backend. Elided when no portfolio ran (all counters zero).
-  if (s.portfolio_races || s.portfolio_routed || s.portfolio_cancelled ||
-      !s.portfolio_wins.empty()) {
-    out += strprintf("portfolio: races=%llu routed=%llu cancelled=%llu wins=[",
-                     u(s.portfolio_races), u(s.portfolio_routed),
-                     u(s.portfolio_cancelled));
-    bool first = true;
-    for (const auto& [backend, wins] : s.portfolio_wins) {
-      out += strprintf("%s%s=%llu", first ? "" : " ", backend.c_str(), u(wins));
-      first = false;
-    }
-    out += "]\n";
-  }
   // Persistent query/model store (smt/store.hpp). Elided when no store was
   // configured (all three counters zero).
   if (stats.store_hits || stats.store_misses || stats.store_entries) {

@@ -45,7 +45,7 @@ class PipeSolver final : public Solver {
                     Assignment* model) override {
     const auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
-    if (argv_.empty() || cancel_requested()) {
+    if (argv_.empty()) {
       ++stats_.unknown;
       return CheckResult::kUnknown;
     }
@@ -89,8 +89,7 @@ class PipeSolver final : public Solver {
 
  private:
   /// Spawn the child, feed it `input`, collect stdout into *output.
-  /// Returns false when the run was abandoned (deadline, cancel, spawn
-  /// failure) — the verdict is then kUnknown regardless of any output.
+  /// Returns false when the run was abandoned (deadline, spawn failure) — the verdict is then kUnknown regardless of any output.
   bool run_child(const std::string& input, std::string* output) {
     int to_child[2], from_child[2];
     if (pipe(to_child) != 0) return false;
@@ -145,15 +144,14 @@ class PipeSolver final : public Solver {
 
     // Interleave writing the query and reading the answer (a large query
     // can exceed the pipe buffer while the child already answers), polling
-    // the deadline and the cancel flag every slice.
+    // the deadline every slice.
     const bool has_deadline = deadline_ms_ > 0;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms_);
     size_t written = 0;
     bool abandoned = false;
     for (;;) {
-      if (cancel_requested() ||
-          (has_deadline && std::chrono::steady_clock::now() >= deadline)) {
+      if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
         abandoned = true;
         break;
       }

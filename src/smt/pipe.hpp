@@ -3,18 +3,18 @@
 // Each check spawns the configured command, writes the query as the SMT-LIB
 // text src/smt/smtlib.cpp prints (plus a trailing `(get-value ...)` over the
 // query's free variables when a model is requested), and parses the verdict
-// and model back from the child's stdout. The per-query deadline and the
-// cooperative cancel flag both kill the child — like every backend, a
-// timed-out or cancelled check returns kUnknown, never a wrong verdict. A
-// command that cannot be spawned (missing binary) degrades every check to
-// kUnknown instead of failing, and a child that dies mid-query merely ends
-// the exchange (SIGPIPE is blocked around the pipe I/O, so a widowed write
-// surfaces as EPIPE, never a fatal signal) — a misconfigured or crashing
-// portfolio member is inert, not fatal.
+// and model back from the child's stdout. The per-query deadline kills the
+// child — like every backend, a timed-out check returns kUnknown, never a
+// wrong verdict. A command that cannot be spawned (missing binary) degrades
+// every check to kUnknown instead of failing, and a child that dies
+// mid-query merely ends the exchange (SIGPIPE is blocked around the pipe
+// I/O, so a widowed write surfaces as EPIPE, never a fatal signal) — a
+// misconfigured or crashing solver only makes its queries unknown, which
+// failover then hands to the secondary backend.
 //
 // The in-tree `smtcheck` CLI (examples/smtcheck.cpp) speaks exactly this
 // protocol over the in-tree backends, so the pipe can be exercised — in
-// tests, CI and portfolios — without any external solver installed; a real
+// tests and CI — without any external solver installed; a real
 // `z3`/`cvc5`/`boolector` binary drops in via the same one-line command.
 #pragma once
 

@@ -217,14 +217,12 @@ SatResult CdclSolver::solve() {
   std::vector<Lit> learned;
 
   for (;;) {
-    // Deadline/interrupt probe: every 64 search-loop iterations (each
-    // iteration is one propagation burst plus a conflict or a decision, so
-    // the clock read and relaxed load are amortized to noise). kUnknown
+    // Deadline probe: every 64 search-loop iterations (each iteration is
+    // one propagation burst plus a conflict or a decision, so the clock
+    // read is amortized to noise). kUnknown
     // leaves the solver state valid but the search unfinished; callers must
     // not read a model.
     if ((++ticks & 0x3f) == 0) {
-      if (interrupt_ && interrupt_->load(std::memory_order_relaxed))
-        return SatResult::kUnknown;
       if (deadline_ && std::chrono::steady_clock::now() >= *deadline_)
         return SatResult::kUnknown;
     }

@@ -7,7 +7,6 @@
 // cross-check it against Z3 on engine-generated queries.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -50,12 +49,6 @@ class CdclSolver {
   void set_deadline(std::chrono::steady_clock::time_point deadline) {
     deadline_ = deadline;
   }
-
-  /// Cooperative interrupt: abandon the search (returning kUnknown) once
-  /// *flag becomes true. Probed alongside the deadline; the flag is owned
-  /// by the caller (another thread may set it — smt::Solver::cancel()) and
-  /// must outlive solve().
-  void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
 
   SatResult solve();
 
@@ -101,7 +94,6 @@ class CdclSolver {
   double activity_inc_ = 1.0;
   bool unsat_ = false;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  const std::atomic<bool>* interrupt_ = nullptr;
   CdclStats stats_;
 };
 

@@ -24,28 +24,18 @@ class BitblastSolver final : public Solver {
     auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
 
-    // A cancel that landed before the check started (a portfolio race
-    // already decided) skips the work entirely.
-    if (cancel_requested()) {
-      ++stats_.unknown;
-      return CheckResult::kUnknown;
-    }
-
     sat::CdclSolver solver;
     // The per-query deadline covers the whole check (blasting + search);
-    // only the CDCL loop probes it and the cancel flag, but blasting is
-    // polynomial in the DAG so the search dominates every hard query.
+    // only the CDCL loop probes it, but blasting is polynomial in the DAG
+    // so the search dominates every hard query.
     if (deadline_ms_ > 0) {
       solver.set_deadline(start + std::chrono::milliseconds(deadline_ms_));
     }
-    solver.set_interrupt(&cancel_flag_);
     sat::BitBlaster blaster(solver);
     for (ExprRef assertion : assertions) blaster.assert_true(assertion);
 
     CheckResult result;
-    if (cancel_requested()) {
-      result = CheckResult::kUnknown;
-    } else if (blaster.inconsistent()) {
+    if (blaster.inconsistent()) {
       result = CheckResult::kUnsat;
     } else {
       switch (solver.solve()) {

@@ -90,9 +90,6 @@ void FailoverSolver::refresh_stats() {
 
 CheckResult FailoverSolver::rescue(std::span<const ExprRef> assumptions,
                                    Assignment* model) {
-  // A cancelled check's kUnknown is the caller's request, not a backend
-  // failure — retrying it on the secondary would defeat the cancellation.
-  if (cancel_requested()) return CheckResult::kUnknown;
   if (!secondary_ && secondary_factory_) {
     secondary_ = secondary_factory_();
     if (secondary_) secondary_->set_deadline_ms(deadline_ms_);

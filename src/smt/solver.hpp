@@ -7,10 +7,8 @@
 // fault-injecting wrappers interpose transparently.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -46,13 +44,6 @@ struct SolverStats {
   uint64_t failover_rescues = 0;    // FailoverSolver: queries the primary
                                     // backend gave up on (unknown/timeout/
                                     // exception) that the secondary decided
-  // -- PortfolioSolver (portfolio.hpp). Zero for every other stack.
-  uint64_t portfolio_races = 0;      // checks decided by racing the members
-  uint64_t portfolio_routed = 0;     // checks sent to one member by the router
-  uint64_t portfolio_cancelled = 0;  // member checks cancelled (or skipped)
-                                     // after another member won the race
-  std::map<std::string, uint64_t> portfolio_wins;  // decided checks per
-                                                   // winning member backend
   double solve_seconds = 0;         // wall time spent inside check*()
 
   /// Fold another solver's counters in (per-worker stats aggregation).
@@ -66,11 +57,6 @@ struct SolverStats {
     incremental_checks += other.incremental_checks;
     reused_assertions += other.reused_assertions;
     failover_rescues += other.failover_rescues;
-    portfolio_races += other.portfolio_races;
-    portfolio_routed += other.portfolio_routed;
-    portfolio_cancelled += other.portfolio_cancelled;
-    for (const auto& [backend, wins] : other.portfolio_wins)
-      portfolio_wins[backend] += wins;
     solve_seconds += other.solve_seconds;
   }
 };
@@ -117,31 +103,13 @@ class Solver {
   /// exceeds the deadline returns kUnknown — never a wrong verdict — so
   /// the engine treats it as an explicitly skipped query. Backends honor
   /// it natively (Z3: solver `timeout` param; bitblast: a periodic
-  /// interrupt probe in the CDCL search loop); wrappers forward it.
+  /// deadline probe in the CDCL search loop); wrappers forward it.
   virtual void set_deadline_ms(uint32_t ms) { deadline_ms_ = ms; }
   uint32_t deadline_ms() const { return deadline_ms_; }
 
-  // -- Cooperative cancellation (the portfolio's racing substrate). -----------
-  //
-  // cancel() asks the in-flight — or not-yet-started — check*() call to give
-  // up and return kUnknown as soon as possible; like a deadline expiry it may
-  // only weaken the verdict, never change it. Unlike every other method it is
-  // safe to call from another thread while a check runs: Z3 interrupts the
-  // active search, the bit-blaster probes the flag in its CDCL loop next to
-  // the deadline, the pipe backend kills its child process. The request is
-  // sticky until reset_cancel() so a cancel landing before the loser's check
-  // even starts still takes effect (no lost-cancel race).
-
-  /// Request cancellation (thread-safe; wrappers forward to their inner
-  /// backend).
-  virtual void cancel() { cancel_flag_.store(true, std::memory_order_relaxed); }
-  /// Re-arm for the next check (called by the owner thread between checks).
-  virtual void reset_cancel() {
-    cancel_flag_.store(false, std::memory_order_relaxed);
-  }
-  bool cancel_requested() const {
-    return cancel_flag_.load(std::memory_order_relaxed);
-  }
+  /// Empty; kept only because perfbench/tracing.hpp overrides and calls them.
+  virtual void cancel() {}
+  virtual void reset_cancel() {}
 
   /// All currently live scoped assertions, oldest first.
   std::span<const ExprRef> scoped_assertions() const { return scoped_; }
@@ -151,9 +119,9 @@ class Solver {
   /// e.g. "z3+validate").
   virtual std::string name() const = 0;
 
-  /// Backend that decided the most recent definitive check — the race winner
-  /// for a portfolio, name() for a plain backend; wrappers forward. The
-  /// persistent store records it per query.
+  /// Backend that decided the most recent definitive check — name() for a
+  /// plain backend, the rescuing secondary after a failover; wrappers
+  /// forward. The persistent store records it per query.
   virtual std::string last_backend() const { return name(); }
 
   /// Counters accumulated so far (see SolverStats).
@@ -166,8 +134,6 @@ class Solver {
   std::vector<ExprRef> scoped_;      // live scoped assertions
   std::vector<size_t> scope_marks_;  // scoped_.size() at each push()
   uint32_t deadline_ms_ = 0;         // per-query deadline, 0 = none
-  std::atomic<bool> cancel_flag_{false};  // sticky cancel request (the one
-                                          // cross-thread-written member)
 };
 
 /// Construct the Z3-backed solver (see z3_solver.cpp).
@@ -178,8 +144,8 @@ std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
 
 /// Base for wrappers over one inner solver: push/pop/assert_ mirror the
 /// scope into the base class (so scoped_assertions() stays valid) and
-/// forward it, and the deadline, cancellation and last_backend() forward to
-/// the inner solver. Subclasses implement check() and check_assuming().
+/// forward it, and the deadline and last_backend() forward to the inner
+/// solver. Subclasses implement check() and check_assuming().
 class ForwardingSolver : public Solver {
  public:
   explicit ForwardingSolver(std::unique_ptr<Solver> inner)
@@ -201,14 +167,6 @@ class ForwardingSolver : public Solver {
   void set_deadline_ms(uint32_t ms) override {
     Solver::set_deadline_ms(ms);
     inner_->set_deadline_ms(ms);
-  }
-  void cancel() override {
-    Solver::cancel();
-    inner_->cancel();
-  }
-  void reset_cancel() override {
-    Solver::reset_cancel();
-    inner_->reset_cancel();
   }
 
  protected:
@@ -266,17 +224,6 @@ class FailoverSolver final : public ForwardingSolver {
   void set_deadline_ms(uint32_t ms) override {
     ForwardingSolver::set_deadline_ms(ms);
     if (secondary_) secondary_->set_deadline_ms(ms);
-  }
-  /// A cancelled primary check returns kUnknown like a deadline expiry, but
-  /// must not trigger a rescue: rescue() observes the sticky flag and
-  /// declines, so cancellation wins over failover.
-  void cancel() override {
-    ForwardingSolver::cancel();
-    if (secondary_) secondary_->cancel();
-  }
-  void reset_cancel() override {
-    ForwardingSolver::reset_cancel();
-    if (secondary_) secondary_->reset_cancel();
   }
 
  private:

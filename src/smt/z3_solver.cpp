@@ -16,12 +16,10 @@ namespace binsym::smt {
 
 namespace {
 
-/// Z3's default error handler prints and exits the process. A cross-thread
-/// Z3_interrupt (the portfolio cancelling a race loser) can land while the
-/// loser is inside a non-search API call — model evaluation just after its
-/// search finished, an assert, a pop — which then raises Z3_CANCELED as an
-/// *error* rather than returning Z3_L_UNDEF. Record instead of exit; the
-/// check path inspects Z3_get_error_code and degrades to kUnknown.
+/// Z3's default error handler prints and exits the process. Any Z3 API
+/// error (an out-of-memory or resource limit hit inside an assert, a
+/// push, model evaluation) must instead degrade the query: record instead
+/// of exit; the check path inspects Z3_get_error_code and returns kUnknown.
 void record_z3_error(Z3_context, Z3_error_code) {}
 
 class Z3Solver final : public Solver {
@@ -55,15 +53,11 @@ class Z3Solver final : public Solver {
                     Assignment* model) override {
     auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
-    if (cancel_requested()) {
-      ++stats_.unknown;
-      return CheckResult::kUnknown;
-    }
 
     Z3_solver_push(z3_, solver_);
     if (Z3_get_error_code(z3_) != Z3_OK) {
-      // A concurrent cancel aborted the push: nothing was pushed and nothing
-      // may be asserted (a base-level assertion would outlive this check).
+      // A failed push pushed nothing, so nothing may be asserted (a
+      // base-level assertion would outlive this check).
       ++stats_.unknown;
       return CheckResult::kUnknown;
     }
@@ -107,10 +101,6 @@ class Z3Solver final : public Solver {
     ++stats_.queries;
     ++stats_.incremental_checks;
     stats_.reused_assertions += scoped_.size();
-    if (cancel_requested()) {
-      ++stats_.unknown;
-      return CheckResult::kUnknown;
-    }
 
     assumption_lits_.clear();
     for (ExprRef assumption : assumptions)
@@ -128,15 +118,6 @@ class Z3Solver final : public Solver {
   }
 
   std::string name() const override { return "z3"; }
-
-  /// Z3_interrupt is the one Z3 entry point documented as callable from
-  /// another thread while a check runs: it aborts the active search, which
-  /// returns Z3_L_UNDEF and maps to kUnknown. The sticky base-class flag
-  /// covers the window where the cancel lands before the check starts.
-  void cancel() override {
-    Solver::cancel();
-    Z3_interrupt(z3_);
-  }
 
   void set_deadline_ms(uint32_t ms) override {
     Solver::set_deadline_ms(ms);
@@ -186,8 +167,8 @@ class Z3Solver final : public Solver {
     postorder(root, [&](ExprRef node) {
       if (translation_.count(node->id)) return;
       Z3_ast ast = translate_node(node);
-      // Never memoize a null AST (a constructor aborted by a concurrent
-      // cancel): a poisoned memo entry would outlive the cancelled check.
+      // Never memoize a null AST (a constructor that raised a Z3 error): a
+      // poisoned memo entry would outlive the failed check.
       if (ast != nullptr) translation_.emplace(node->id, ast);
     });
     return translation_.at(root->id);
@@ -246,7 +227,7 @@ class Z3Solver final : public Solver {
 
   void extract_model(Z3_solver solver, Assignment* model) {
     Z3_model z3_model = Z3_solver_get_model(z3_, solver);
-    if (z3_model == nullptr) return;  // cancelled mid-extraction
+    if (z3_model == nullptr) return;  // Z3 error during extraction
     Z3_model_inc_ref(z3_, z3_model);
     for (const auto& [var_id, ast] : var_consts_) {
       Z3_ast value_ast = nullptr;

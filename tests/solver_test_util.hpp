@@ -1,18 +1,12 @@
-// Shared scripted solver backends for the solver-stack tests.
+// Shared scripted solver backend for the solver-stack tests.
 //
-// StubSolver stands in for a backend with a known, controllable behavior:
-// a fixed verdict, an always-unknown backend (deadline stand-in), a
-// crashing backend, optionally with artificial latency — during which it
-// polls the cooperative cancel flag like a real backend, so races and
-// cancellation can be tested deterministically without timing luck.
-// Used by the failover tests (test_solver.cpp) and the portfolio race
-// tests (test_portfolio.cpp).
+// StubSolver stands in for a backend with a known, controllable failure: an
+// always-unknown backend (deadline stand-in) or a crashing one. Used by the
+// failover tests (test_solver.cpp).
 #pragma once
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "smt/solver.hpp"
 
@@ -20,59 +14,21 @@ namespace binsym::smt {
 
 class StubSolver final : public Solver {
  public:
-  enum class Mode { kUnknown, kThrow, kSat, kUnsat };
+  enum class Mode { kUnknown, kThrow };
 
-  explicit StubSolver(Mode mode, std::chrono::milliseconds delay = {},
-                      std::string label = "stub")
-      : mode_(mode), delay_(delay), label_(std::move(label)) {}
+  explicit StubSolver(Mode mode) : mode_(mode) {}
 
-  CheckResult check(std::span<const ExprRef> assertions,
-                    Assignment* model) override {
+  CheckResult check(std::span<const ExprRef>, Assignment*) override {
     ++stats_.queries;
     if (mode_ == Mode::kThrow) throw std::runtime_error("stub backend crash");
-    // Simulated solve time, polling the cancel flag like a real backend's
-    // search loop does.
-    const auto end = std::chrono::steady_clock::now() + delay_;
-    for (;;) {
-      if (cancel_requested()) {
-        ++cancelled_checks_;
-        ++stats_.unknown;
-        return CheckResult::kUnknown;
-      }
-      if (std::chrono::steady_clock::now() >= end) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    switch (mode_) {
-      case Mode::kSat:
-        ++stats_.sat;
-        // A stub has no theory: it assigns `model_value_` to every query
-        // variable. Callers that need *valid* models use a real backend.
-        if (model)
-          for (uint32_t var : collect_vars(
-                   std::vector<ExprRef>(assertions.begin(), assertions.end())))
-            model->set(var, model_value_);
-        return CheckResult::kSat;
-      case Mode::kUnsat:
-        ++stats_.unsat;
-        return CheckResult::kUnsat;
-      default:
-        ++stats_.unknown;
-        return CheckResult::kUnknown;
-    }
+    ++stats_.unknown;
+    return CheckResult::kUnknown;
   }
 
-  std::string name() const override { return label_; }
-
-  /// Checks that bailed out on an observed cancel request.
-  uint64_t cancelled_checks() const { return cancelled_checks_; }
-  void set_model_value(uint64_t value) { model_value_ = value; }
+  std::string name() const override { return "stub"; }
 
  private:
   Mode mode_;
-  std::chrono::milliseconds delay_;
-  std::string label_;
-  uint64_t model_value_ = 0;
-  uint64_t cancelled_checks_ = 0;
 };
 
 }  // namespace binsym::smt

@@ -1,14 +1,11 @@
-// Solver portfolio, SMT-LIB pipe backend and persistent query/model store.
+// Solver backends, the SMT-LIB pipe backend and the persistent query/model
+// store.
 //
-// Three layers of pinning:
-//   * race mechanics with scripted StubSolver members — the first definitive
-//     verdict wins, losers are cancelled (and a loser can never win), crashes
-//     and all-unknown races degrade gracefully, and the feature router only
-//     skips the race once a bucket has a measured leader;
+// Two layers of pinning:
 //   * a cross-backend differential harness: randomized queries and the
 //     SMT-LIB dumps of a Table I workload run through {z3, bitblast,
-//     pipe(smtcheck), portfolio} and must agree on every verdict, with every
-//     sat model validated by concrete evaluation;
+//     pipe(smtcheck)} and must agree on every verdict, with every sat model
+//     validated by concrete evaluation;
 //   * the persistent store: byte-exact round trips, corruption / truncation /
 //     version-skew all degrade to a diagnosed cold start, kUnknown is never
 //     admitted (unit and end-to-end via fault injection), and warm reruns
@@ -17,7 +14,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -30,21 +26,17 @@
 
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
-#include "core/finding.hpp"
 #include "core/search.hpp"
 #include "elf/elf32.hpp"
 #include "isa/decoder.hpp"
-#include "oracles/manager.hpp"
 #include "smt/cache.hpp"
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
 #include "smt/pipe.hpp"
-#include "smt/portfolio.hpp"
 #include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
-#include "solver_test_util.hpp"
 #include "spec/registry.hpp"
 #include "support/bits.hpp"
 #include "support/fault.hpp"
@@ -57,294 +49,11 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "binsym-portfolio-" + tag + "-" +
+  std::string dir = ::testing::TempDir() + "binsym-backends-" + tag + "-" +
                     std::to_string(::getpid());
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
-}
-
-// -- Race mechanics with scripted members. -----------------------------------
-
-/// No cheap-query shortcut: every check in these tests races.
-PortfolioConfig racing_config() {
-  PortfolioConfig config;
-  config.cheap_node_threshold = 0;
-  return config;
-}
-
-TEST(PortfolioRace, FirstDefinitiveVerdictWinsAndLosersAreCancelled) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  auto fast = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(5), "fast-sat");
-  auto slow = std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnsat, std::chrono::milliseconds(3000), "slow-unsat");
-  StubSolver* slow_raw = slow.get();
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(fast));
-  members.push_back(std::move(slow));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // The loser's scripted 3 s solve must not gate the race: cancellation (or
-  // the decided-before-wake skip) cut it short.
-  EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
-  EXPECT_TRUE(slow_raw->cancelled_checks() >= 1 ||
-              slow_raw->stats().queries == 0);
-
-  const SolverStats& s = portfolio->stats();
-  EXPECT_EQ(s.queries, 1u);
-  EXPECT_EQ(s.sat, 1u);
-  EXPECT_EQ(s.portfolio_races, 1u);
-  EXPECT_EQ(s.portfolio_routed, 0u);
-  EXPECT_EQ(s.portfolio_cancelled, 1u);
-  ASSERT_EQ(s.portfolio_wins.count("fast-sat"), 1u);
-  EXPECT_EQ(s.portfolio_wins.at("fast-sat"), 1u);
-  EXPECT_EQ(s.portfolio_wins.count("slow-unsat"), 0u);
-  EXPECT_EQ(portfolio->last_backend(), "fast-sat");
-}
-
-TEST(PortfolioRace, UnsatCanWinTheRaceToo) {
-  // The mirror image: a fast unsat beats a slow sat — "definitive" means
-  // either polarity, and the slow member's would-be sat never surfaces.
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnsat, std::chrono::milliseconds(0), "fast-unsat"));
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(3000), "slow-sat"));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  Assignment model;
-  EXPECT_EQ(portfolio->check(query, &model), CheckResult::kUnsat);
-  EXPECT_TRUE(model.values.empty());  // no model for an unsat verdict
-  EXPECT_EQ(portfolio->stats().portfolio_wins.at("fast-unsat"), 1u);
-  EXPECT_EQ(portfolio->last_backend(), "fast-unsat");
-}
-
-TEST(PortfolioRace, WinnersModelIsHandedOut) {
-  Context ctx;
-  ExprRef x = ctx.var("x", 8);
-  std::vector<ExprRef> query{ctx.eq(x, ctx.constant(7, 8))};
-  auto fast = std::make_unique<StubSolver>(StubSolver::Mode::kSat);
-  fast->set_model_value(7);
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(fast));
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnknown, std::chrono::milliseconds(50), "laggard"));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  Assignment model;
-  ASSERT_EQ(portfolio->check(query, &model), CheckResult::kSat);
-  EXPECT_EQ(model.get(x->var_id), 7u);
-  EXPECT_EQ(evaluate(query[0], model), 1u);
-}
-
-TEST(PortfolioRace, AllMembersUnknownMeansUnknown) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(StubSolver::Mode::kUnknown));
-  members.push_back(std::make_unique<StubSolver>(StubSolver::Mode::kUnknown));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kUnknown);
-  const SolverStats& s = portfolio->stats();
-  EXPECT_EQ(s.unknown, 1u);
-  EXPECT_EQ(s.portfolio_races, 1u);
-  EXPECT_TRUE(s.portfolio_wins.empty());
-  // Nobody won, so nobody was cancelled *by a winner*.
-  EXPECT_EQ(s.portfolio_cancelled, 0u);
-}
-
-TEST(PortfolioRace, CrashingMemberJustLoses) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(
-      std::make_unique<StubSolver>(StubSolver::Mode::kThrow,
-                                   std::chrono::milliseconds(0), "crasher"));
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(10), "solid"));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_wins.at("solid"), 1u);
-  // ... and the portfolio survives to answer the next query.
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-}
-
-TEST(PortfolioRace, SingleCrashingMemberDegradesToUnknown) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(StubSolver::Mode::kThrow));
-  auto portfolio = make_portfolio_solver(std::move(members));
-
-  // Routed first (single member), crash caught, race fallback also crashes:
-  // the verdict weakens to kUnknown, the portfolio never throws.
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 1u);
-}
-
-TEST(PortfolioRace, CancelledPortfolioSkipsTheRaceEntirely) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(StubSolver::Mode::kSat));
-  members.push_back(std::make_unique<StubSolver>(StubSolver::Mode::kSat));
-  auto portfolio = make_portfolio_solver(std::move(members), racing_config());
-
-  portfolio->cancel();
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 0u);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 0u);
-  // Sticky until re-armed, like every Solver.
-  portfolio->reset_cancel();
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-}
-
-TEST(PortfolioRace, SingleMemberPassesThroughWithoutARace) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "lonely"));
-  auto portfolio = make_portfolio_solver(std::move(members));
-
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 0u);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->last_backend(), "lonely");
-  EXPECT_EQ(portfolio->name(), "portfolio[lonely]");
-}
-
-// -- Feature router. ----------------------------------------------------------
-
-TEST(PortfolioRouter, CheapQueriesGoToTheFirstMemberWithoutRacing) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};  // one node, under threshold
-  auto first = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "first");
-  auto second = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "second");
-  StubSolver* second_raw = second.get();
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(first));
-  members.push_back(std::move(second));
-  auto portfolio = make_portfolio_solver(std::move(members));  // defaults
-
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 0u);
-  EXPECT_EQ(second_raw->stats().queries, 0u);  // never woken
-  EXPECT_EQ(portfolio->last_backend(), "first");
-}
-
-TEST(PortfolioRouter, RoutesToTheMeasuredLeaderAfterEnoughRaces) {
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  PortfolioConfig config = racing_config();
-  config.route_min_races = 2;  // default win share 3/4 still applies
-  auto sprinter = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "sprinter");
-  auto strider = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(60), "strider");
-  StubSolver* sprinter_raw = sprinter.get();
-  StubSolver* strider_raw = strider.get();
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(sprinter));
-  members.push_back(std::move(strider));
-  auto portfolio = make_portfolio_solver(std::move(members), config);
-
-  // Two measured races, both won by the sprinter, make it the bucket leader.
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 2u);
-  EXPECT_EQ(portfolio->stats().portfolio_wins.at("sprinter"), 2u);
-
-  const uint64_t sprinter_before = sprinter_raw->stats().queries;
-  const uint64_t strider_before = strider_raw->stats().queries;
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 2u);  // no new race
-  EXPECT_EQ(sprinter_raw->stats().queries, sprinter_before + 1);
-  EXPECT_EQ(strider_raw->stats().queries, strider_before);  // left alone
-}
-
-TEST(PortfolioRouter, RoutedUnknownFallsBackToTheFullRace) {
-  // Routing may cost one redundant check, never an answer: the default
-  // config sends this tiny query to the first member, which gives up, and
-  // the fallback race still gets the second member's verdict.
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnknown, std::chrono::milliseconds(0), "flaky"));
-  members.push_back(std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "closer"));
-  auto portfolio = make_portfolio_solver(std::move(members));
-
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_wins.at("closer"), 1u);
-  EXPECT_EQ(portfolio->last_backend(), "closer");
-}
-
-TEST(PortfolioRace, FallbackRaceRunsOnTheRemainingDeadlineBudget) {
-  // Regression: a routed member that burns part of the per-query deadline
-  // and gives up must not re-arm the fallback race with the full deadline
-  // again — one logical check may spend at most one configured budget.
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};  // tiny: routed to member 0
-  auto burner = std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnknown, std::chrono::milliseconds(80), "burner");
-  auto closer = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "closer");
-  StubSolver* closer_raw = closer.get();
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(burner));
-  members.push_back(std::move(closer));
-  auto portfolio = make_portfolio_solver(std::move(members));  // defaults
-
-  portfolio->set_deadline_ms(10'000);
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kSat);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 1u);
-  // The race members were armed with deadline − elapsed, not the full 10 s
-  // (the routed burner provably spent ≥ 80 ms of the budget first).
-  EXPECT_GT(closer_raw->deadline_ms(), 0u);
-  EXPECT_LE(closer_raw->deadline_ms(), 10'000u - 80u);
-}
-
-TEST(PortfolioRace, ExhaustedDeadlineSkipsTheFallbackRace) {
-  // The degenerate case of the budget contract: when the routed attempt
-  // consumed the whole deadline there is nothing left to race on — the
-  // check answers kUnknown immediately instead of doubling the budget.
-  Context ctx;
-  std::vector<ExprRef> query{ctx.var("x", 1)};
-  auto burner = std::make_unique<StubSolver>(
-      StubSolver::Mode::kUnknown, std::chrono::milliseconds(120), "burner");
-  auto closer = std::make_unique<StubSolver>(
-      StubSolver::Mode::kSat, std::chrono::milliseconds(0), "closer");
-  StubSolver* closer_raw = closer.get();
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(std::move(burner));
-  members.push_back(std::move(closer));
-  auto portfolio = make_portfolio_solver(std::move(members));  // defaults
-
-  portfolio->set_deadline_ms(50);  // the burner (stub: no deadline honor)
-                                   // overshoots it by construction
-  EXPECT_EQ(portfolio->check(query, nullptr), CheckResult::kUnknown);
-  EXPECT_EQ(portfolio->stats().portfolio_routed, 1u);
-  EXPECT_EQ(portfolio->stats().portfolio_races, 0u);
-  EXPECT_EQ(closer_raw->stats().queries, 0u);  // never woken
 }
 
 // -- Cross-backend differential harness. --------------------------------------
@@ -366,9 +75,9 @@ std::string smtcheck_command() {
   return fs::exists(candidate) ? candidate : std::string();
 }
 
-/// The full backend matrix over one context: both in-tree backends, the pipe
-/// driving the in-tree SMT-LIB CLI (when built), and a portfolio racing the
-/// in-tree pair. Every member of the matrix must agree on every verdict.
+/// The full backend matrix over one context: both in-tree backends and the
+/// pipe driving the in-tree SMT-LIB CLI (when built). Every member of the
+/// matrix must agree on every verdict.
 std::vector<std::pair<std::string, std::unique_ptr<Solver>>> backend_matrix(
     Context& ctx) {
   std::vector<std::pair<std::string, std::unique_ptr<Solver>>> matrix;
@@ -377,10 +86,6 @@ std::vector<std::pair<std::string, std::unique_ptr<Solver>>> backend_matrix(
   const std::string pipe_cmd = smtcheck_command();
   if (!pipe_cmd.empty())
     matrix.emplace_back("pipe", make_pipe_solver(ctx, pipe_cmd));
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(make_z3_solver(ctx));
-  members.push_back(make_bitblast_solver(ctx));
-  matrix.emplace_back("portfolio", make_portfolio_solver(std::move(members)));
   return matrix;
 }
 
@@ -570,12 +275,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// How each exploration builds its per-worker solver stack.
-enum class SolverSetup { kPlain, kPortfolio };
-
-class PortfolioEngineTest : public ::testing::Test {
+class BackendEngineTest : public ::testing::Test {
  protected:
-  PortfolioEngineTest() {
+  BackendEngineTest() {
     spec::install_rv32im(registry, table);
     spec::install_custom_madd(table, registry);
     spec::install_zbb(table, registry);
@@ -585,37 +287,13 @@ class PortfolioEngineTest : public ::testing::Test {
     return elf::to_program(rvasm::assemble_or_die(table, source).image);
   }
 
-  core::WorkerFactory factory(const core::Program& program, SolverSetup setup,
-                              const std::string& oracles_spec = "") {
-    return [this, &program, setup, oracles_spec](unsigned) {
+  core::WorkerFactory factory(const core::Program& program) {
+    return [this, &program](unsigned) {
       core::WorkerResources r;
       r.ctx = std::make_unique<smt::Context>();
       r.executor = std::make_unique<core::BinSymExecutor>(
           *r.ctx, decoder, registry, program, core::MachineConfig{});
-      if (setup == SolverSetup::kPortfolio) {
-        std::vector<std::unique_ptr<smt::Solver>> members;
-        members.push_back(smt::make_z3_solver(*r.ctx));
-        members.push_back(smt::make_bitblast_solver(*r.ctx));
-        r.solver = smt::make_portfolio_solver(std::move(members));
-      } else {
-        r.solver = smt::make_z3_solver(*r.ctx);
-      }
-      if (!oracles_spec.empty()) {
-        std::string error;
-        auto manager = oracles::OracleManager::make(
-            *r.ctx,
-            oracles::MemoryMap::for_program(program,
-                                            core::MachineConfig{}.stack_top),
-            oracles_spec, &error);
-        EXPECT_TRUE(manager) << error;
-        r.executor->set_observer(manager.get());
-        struct Keep {
-          std::unique_ptr<oracles::OracleManager> manager;
-        };
-        auto keep = std::make_shared<Keep>();
-        keep->manager = std::move(manager);
-        r.keepalive = std::move(keep);
-      }
+      r.solver = smt::make_z3_solver(*r.ctx);
       return r;
     };
   }
@@ -626,9 +304,9 @@ class PortfolioEngineTest : public ::testing::Test {
     std::multiset<uint32_t> failures;
   };
 
-  Exploration explore(const core::Program& program, SolverSetup setup,
+  Exploration explore(const core::Program& program,
                       core::EngineOptions options) {
-    core::DseEngine dse(factory(program, setup), options);
+    core::DseEngine dse(factory(program), options);
     Exploration result;
     result.stats = dse.explore([&](const core::PathResult& path) {
       std::string key;
@@ -679,7 +357,7 @@ skip3:
 buf: .space 3
 )";
 
-TEST_F(PortfolioEngineTest, TableICorpusAgreesAcrossAllBackends) {
+TEST_F(BackendEngineTest, TableICorpusAgreesAcrossAllBackends) {
   // Dump the real flip queries of a Table I workload prefix as SMT-LIB
   // files, then replay every one through the full backend matrix: one
   // verdict per query, every sat model valid. This is the corpus leg of the
@@ -689,7 +367,7 @@ TEST_F(PortfolioEngineTest, TableICorpusAgreesAcrossAllBackends) {
   core::EngineOptions options;
   options.max_paths = 40;
   options.smtlib_dump_dir = dump_dir;
-  Exploration run = explore(program, SolverSetup::kPlain, options);
+  Exploration run = explore(program, options);
   EXPECT_GT(run.stats.paths, 0u);
 
   std::vector<std::string> files;
@@ -721,14 +399,14 @@ TEST_F(PortfolioEngineTest, TableICorpusAgreesAcrossAllBackends) {
   EXPECT_GT(unsat, 0u);
 }
 
-TEST_F(PortfolioEngineTest, WarmStoreAnswersWithoutBackendCallsOrPathDrift) {
+TEST_F(BackendEngineTest, WarmStoreAnswersWithoutBackendCallsOrPathDrift) {
   const std::string store_dir = smt::fresh_dir("warm");
   core::Program program = load_asm(kThreeBranchGuest);
 
   core::EngineOptions options;
   options.solver_store = smt::SolverStore::open(store_dir);
   EXPECT_TRUE(options.solver_store->load_error().empty());
-  Exploration cold = explore(program, SolverSetup::kPlain, options);
+  Exploration cold = explore(program, options);
   EXPECT_GT(cold.stats.store_misses, 0u);
   EXPECT_EQ(cold.stats.store_hits, 0u);
   EXPECT_GT(cold.stats.store_entries, 0u);
@@ -737,7 +415,7 @@ TEST_F(PortfolioEngineTest, WarmStoreAnswersWithoutBackendCallsOrPathDrift) {
   // A fresh process would reopen the flushed file exactly like this.
   options.solver_store = smt::SolverStore::open(store_dir);
   EXPECT_TRUE(options.solver_store->load_error().empty());
-  Exploration warm = explore(program, SolverSetup::kPlain, options);
+  Exploration warm = explore(program, options);
   EXPECT_EQ(warm.path_keys, cold.path_keys);
   EXPECT_EQ(warm.failures, cold.failures);
   EXPECT_EQ(warm.stats.paths, cold.stats.paths);
@@ -797,7 +475,7 @@ std::string clobber_store_models(std::string bytes, uint64_t value) {
   return bytes;
 }
 
-TEST_F(PortfolioEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
+TEST_F(BackendEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
   // A key collision hands the engine a persisted entry for a *different*
   // query: keys and verdicts plausible, models wrong. Simulate it by
   // corrupting every model value inside a genuinely warm store file (and
@@ -808,7 +486,7 @@ TEST_F(PortfolioEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
   core::Program program = load_asm(kThreeBranchGuest);
   core::EngineOptions options;
   options.solver_store = smt::SolverStore::open(store_dir);
-  Exploration cold = explore(program, SolverSetup::kPlain, options);
+  Exploration cold = explore(program, options);
   EXPECT_GT(cold.stats.store_entries, 0u);
 
   const std::string file = options.solver_store->path();
@@ -828,7 +506,7 @@ TEST_F(PortfolioEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
 
   options.solver_store = smt::SolverStore::open(store_dir);
   ASSERT_TRUE(options.solver_store->load_error().empty());  // checksum holds
-  Exploration warm = explore(program, SolverSetup::kPlain, options);
+  Exploration warm = explore(program, options);
   EXPECT_EQ(warm.path_keys, cold.path_keys);
   EXPECT_EQ(warm.failures, cold.failures);
   EXPECT_EQ(warm.stats.paths, cold.stats.paths);
@@ -839,7 +517,7 @@ TEST_F(PortfolioEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
   EXPECT_GT(warm.stats.store_misses, 0u);
 }
 
-TEST_F(PortfolioEngineTest, InjectedUnknownsAreNeverPersisted) {
+TEST_F(BackendEngineTest, InjectedUnknownsAreNeverPersisted) {
   // Fault injection forces *every* solver check to degrade to kUnknown
   // ("solver" site, all occurrences): nothing definitive is ever produced,
   // so nothing may reach the persistent store — end to end, through the
@@ -851,99 +529,64 @@ TEST_F(PortfolioEngineTest, InjectedUnknownsAreNeverPersisted) {
   options.fault_plan = support::FaultPlan::parse("solver@1+", &error);
   ASSERT_TRUE(options.fault_plan) << error;
   options.solver_store = smt::SolverStore::open(store_dir);
-  Exploration run = explore(program, SolverSetup::kPlain, options);
+  Exploration run = explore(program, options);
   EXPECT_GT(run.stats.queries_unknown, 0u);
   EXPECT_EQ(run.stats.store_entries, 0u);
   EXPECT_EQ(smt::SolverStore::open(store_dir)->size(), 0u);
 }
 
-TEST_F(PortfolioEngineTest, FindingTriplesIdenticalWithPortfolioOnAndOff) {
-  // Racing backends must be invisible to bug finding: whichever member wins
-  // whichever query, the (oracle, pc, call-depth) triples over the buggy
-  // corpus are bit-identical to the plain-z3 campaign.
-  for (const char* name :
-       {"buggy-div", "buggy-overflow", "buggy-unaligned", "buggy-stack-smash"}) {
-    core::Program program = workloads::load_workload(table, name);
-    auto campaign = [&](SolverSetup setup) {
-      core::DseEngine dse(factory(program, setup, "all"),
-                          core::EngineOptions{});
-      dse.explore();
-      std::multiset<uint64_t> keys;
-      for (const core::Finding& f : dse.findings())
-        keys.insert(core::finding_key(f.oracle, f.pc, f.call_depth));
-      return keys;
-    };
-    std::multiset<uint64_t> plain = campaign(SolverSetup::kPlain);
-    EXPECT_FALSE(plain.empty()) << name;
-    EXPECT_EQ(plain, campaign(SolverSetup::kPortfolio)) << name;
-  }
-}
-
 // -- Table I bit-identity sweep. ---------------------------------------------
 //
-// The portfolio and the store may only change cost, never meaning: across
-// {portfolio on, off} x {store cold, warm} x {dfs, coverage} x jobs {1, 4},
-// the discovered path set and failures must be bit-identical to the plain
-// dfs/jobs=1 reference. One store directory is shared by all configurations
-// of a workload, so the first run is the cold one and every later run is
-// warm — which also proves warm answers (possibly models minted by a
-// *different* backend in an earlier configuration) cause zero path drift.
-// Excluded from the sanitizer CI jobs like the other full-workload sweeps.
+// The store may only change cost, never meaning: across {store cold, warm} x
+// {dfs, coverage} x jobs {1, 4}, the discovered path set and failures must be
+// bit-identical to the store-less dfs/jobs=1 reference. One store directory
+// is shared by all configurations of a workload, so the first run is the
+// cold one and every later run is warm — which also proves warm answers
+// (models minted under a *different* search order or worker count) cause
+// zero path drift. Excluded from the sanitizer CI jobs like the other
+// full-workload sweeps.
 
-class PortfolioWorkloadIdentity
-    : public PortfolioEngineTest,
+class StoreWorkloadIdentity
+    : public BackendEngineTest,
       public ::testing::WithParamInterface<const char*> {};
 
-TEST_P(PortfolioWorkloadIdentity, PathSetInvariantAcrossPortfolioStoreJobs) {
+TEST_P(StoreWorkloadIdentity, PathSetInvariantAcrossStoreSearchJobs) {
   core::Program program = workloads::load_workload(table, GetParam());
   const std::string store_dir =
       smt::fresh_dir(std::string("sweep-") + GetParam());
 
-  Exploration reference =
-      explore(program, SolverSetup::kPlain, core::EngineOptions{});
+  Exploration reference = explore(program, core::EngineOptions{});
   EXPECT_GT(reference.stats.paths, 100u);
   EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
 
-  bool first_config = true;
-  core::EngineStats last_stats;
-  for (SolverSetup setup : {SolverSetup::kPortfolio, SolverSetup::kPlain}) {
-    for (core::SearchKind kind :
-         {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-      for (unsigned jobs : {1u, 4u}) {
-        core::EngineOptions options;
-        options.search = kind;
-        options.jobs = jobs;
-        options.solver_store = smt::SolverStore::open(store_dir);
-        ASSERT_TRUE(options.solver_store->load_error().empty());
-        Exploration run = explore(program, setup, options);
-        std::string label =
-            std::string(setup == SolverSetup::kPortfolio ? "portfolio"
-                                                         : "plain") +
-            " " + core::search_kind_name(kind) +
-            " jobs=" + std::to_string(jobs) +
-            (first_config ? " (cold)" : " (warm)");
-        EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
-        EXPECT_EQ(run.path_keys, reference.path_keys) << label;
-        EXPECT_EQ(run.failures, reference.failures) << label;
-        if (first_config) {
-          // The cold portfolio run must actually exercise the new machinery.
-          EXPECT_GT(run.stats.solver.portfolio_races +
-                        run.stats.solver.portfolio_routed,
-                    0u)
-              << label;
-          EXPECT_EQ(run.stats.store_hits, 0u) << label;
-          EXPECT_GT(run.stats.store_entries, 0u) << label;
-        }
-        first_config = false;
-        last_stats = run.stats;
+  bool cold = true;
+  for (core::SearchKind kind :
+       {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
+    for (unsigned jobs : {1u, 4u}) {
+      core::EngineOptions options;
+      options.search = kind;
+      options.jobs = jobs;
+      options.solver_store = smt::SolverStore::open(store_dir);
+      ASSERT_TRUE(options.solver_store->load_error().empty());
+      Exploration run = explore(program, options);
+      const std::string label = std::string(core::search_kind_name(kind)) +
+                                " jobs=" + std::to_string(jobs) +
+                                (cold ? " (cold)" : " (warm)");
+      EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
+      EXPECT_EQ(run.path_keys, reference.path_keys) << label;
+      EXPECT_EQ(run.failures, reference.failures) << label;
+      if (cold) {
+        EXPECT_EQ(run.stats.store_hits, 0u) << label;
+        EXPECT_GT(run.stats.store_entries, 0u) << label;
+      } else {
+        EXPECT_GT(run.stats.store_hits, 0u) << label;
       }
+      cold = false;
     }
   }
-  // The final (warmest) configuration answers from the store.
-  EXPECT_GT(last_stats.store_hits, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Table1, PortfolioWorkloadIdentity,
+INSTANTIATE_TEST_SUITE_P(Table1, StoreWorkloadIdentity,
                          ::testing::Values("base64-encode", "bubble-sort",
                                            "clif-parser", "insertion-sort",
                                            "uri-parser"));

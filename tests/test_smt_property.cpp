@@ -6,8 +6,7 @@
 //   * interning is idempotent and content hashes are context-independent,
 //   * CachingEvaluator memos never alias distinct structures,
 //   * persistent-store keys are stable across contexts, the intern toggle
-//     and simulated restarts,
-//   * a portfolio is observationally an smt::Solver (stateless and scoped).
+//     and simulated restarts.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -16,7 +15,6 @@
 #include "smt/cache.hpp"
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
-#include "smt/portfolio.hpp"
 #include "smt/simplify.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
@@ -317,66 +315,6 @@ TEST_P(SmtProperty, StoreKeysStableAcrossContextsInternToggleAndRestarts) {
   ASSERT_TRUE(reopened->lookup(QueryCache::key_for(c), &entry));
   EXPECT_EQ(entry.verdict, CheckResult::kUnsat);
   EXPECT_EQ(entry.backend, "property");
-}
-
-TEST_P(SmtProperty, PortfolioIsObservationallyASolver) {
-  // Whatever the race decides internally, a portfolio must behave exactly
-  // like any other smt::Solver: same verdicts as a reference backend on
-  // forced-value queries, valid models, and the scoped push/assert_/
-  // check_assuming API answering like the stateless check over the same
-  // conjunction.
-  Rng rng(GetParam() ^ 0xf0110);
-  Context ctx;
-  DagGen gen(ctx, rng, 3);
-  ExprRef root = gen.grow(30);
-  auto reference = make_z3_solver(ctx);
-  std::vector<std::unique_ptr<Solver>> members;
-  members.push_back(make_z3_solver(ctx));
-  members.push_back(make_bitblast_solver(ctx));
-  auto portfolio = make_portfolio_solver(std::move(members));
-
-  Assignment a = random_assignment(ctx, rng);
-  uint64_t value = evaluate(root, a);
-  std::vector<ExprRef> pins;
-  for (uint32_t id = 0; id < ctx.num_vars(); ++id) {
-    const VarInfo& info = ctx.var_info(id);
-    pins.push_back(ctx.eq(ctx.var(info.name, info.width),
-                          ctx.constant(a.get(id), info.width)));
-  }
-
-  for (uint64_t offset : {uint64_t{0}, uint64_t{1}}) {
-    std::vector<ExprRef> assertions = pins;
-    assertions.push_back(
-        ctx.eq(root, ctx.constant(value + offset, root->width)));
-    Assignment expected_model;
-    const CheckResult expected =
-        reference->check(assertions, &expected_model);
-    ASSERT_NE(expected, CheckResult::kUnknown);
-
-    // Stateless contract.
-    Assignment model;
-    ASSERT_EQ(portfolio->check(assertions, &model), expected);
-    if (expected == CheckResult::kSat) {
-      for (ExprRef assertion : assertions)
-        EXPECT_EQ(evaluate(assertion, model), 1u);
-    }
-
-    // Scoped contract: pins become scoped assertions, the forced value
-    // travels as an assumption; the verdict must not change, and the scope
-    // must unwind cleanly for the next round.
-    portfolio->push();
-    for (ExprRef pin : pins) portfolio->assert_(pin);
-    std::vector<ExprRef> assumption{assertions.back()};
-    model.values.clear();
-    EXPECT_EQ(portfolio->check_assuming(assumption, &model), expected);
-    if (expected == CheckResult::kSat) {
-      for (ExprRef assertion : assertions)
-        EXPECT_EQ(evaluate(assertion, model), 1u);
-    }
-    portfolio->pop();
-    EXPECT_EQ(portfolio->num_scopes(), 0u);
-    EXPECT_TRUE(portfolio->scoped_assertions().empty());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SmtProperty,

@@ -213,7 +213,7 @@ TEST_P(ScopedSolverApi, NestedScopesUnwindIndependently) {
 }
 
 TEST_P(ScopedSolverApi, StatelessChecksAroundAScopeStayIsolated) {
-  // The stateless contract failover and the portfolio rely on: a check()
+  // The stateless contract FailoverSolver::rescue relies on: a check()
   // before a push() or after its pop() sees none of the scope's assertions
   // and leaves nothing behind.
   Context ctx;

@@ -196,10 +196,6 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
   stats.worker_errors = 56;
   stats.jobs_requeued = 57;
   stats.jobs_poisoned = 58;
-  stats.solver.portfolio_races = 62;
-  stats.solver.portfolio_routed = 63;
-  stats.solver.portfolio_cancelled = 64;
-  stats.solver.portfolio_wins = {{"alpha", 65}, {"beta", 66}};
   stats.store_hits = 67;
   stats.store_misses = 68;
   stats.store_entries = 69;
@@ -223,9 +219,7 @@ TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
       "queries-unknown=53", "skipped-unknown=54", "failover-rescues=55",
       "worker-errors=56",  "requeued=57",        "poisoned=58",
       "interned=59",       "hits=60",            "arena-bytes=61",
-      "races=62",          "routed=63",          "cancelled=64",
-      "alpha=65",          "beta=66",            "hits=67",
-      "misses=68",         "entries=69",
+      "hits=67",           "misses=68",          "entries=69",
       "incomplete: test-incomplete-reason",
   };
   for (const std::string& counter : counters)
@@ -244,7 +238,6 @@ TEST_F(StatsTest, ReportElidesZeroValuedOptionalSections) {
   EXPECT_EQ(occurrences(report, "uops:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "query-nodes:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "intern:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "portfolio:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "store:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "robust:"), 0u) << report;
   EXPECT_EQ(occurrences(report, "incomplete:"), 0u) << report;
@@ -272,10 +265,6 @@ TEST_F(StatsTest, ReportElidesZeroValuedOptionalSections) {
   stats.exprs_interned = 1;
   report = engine_stats_report(stats);
   EXPECT_EQ(occurrences(report, "intern:"), 1u);
-  EXPECT_EQ(occurrences(report, "portfolio:"), 0u);
-  stats.solver.portfolio_routed = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "portfolio:"), 1u);
   EXPECT_EQ(occurrences(report, "store:"), 0u);
   stats.store_misses = 1;
   report = engine_stats_report(stats);

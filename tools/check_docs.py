@@ -178,30 +178,28 @@ def check_robustness_doc(explore_binary):
 
 
 def check_solvers_doc(explore_binary):
-    """docs/SOLVERS.md must document the portfolio/store flags and every
-    backend the binary offers as a portfolio member. The backend list is
-    recovered from the CLI's own --portfolio-backends help text, so the
-    doc tracks the code, not a hardcoded roster in this checker."""
+    """docs/SOLVERS.md must document the solver/store flags and every
+    backend the binary offers as a primary solver. The backend list is
+    recovered from the CLI's own --solver help text, so the doc tracks
+    the code, not a hardcoded roster in this checker."""
     doc = (REPO / "docs" / "SOLVERS.md").read_text(encoding="utf-8")
     errors = []
-    for flag in ("--solver", "--portfolio", "--portfolio-backends",
-                 "--solver-store"):
+    for flag in ("--solver", "--solver-store"):
         if flag not in doc:
             errors.append(f"docs/SOLVERS.md: flag not documented: {flag}")
     result = subprocess.run([explore_binary, "--help"], capture_output=True,
                             text=True, timeout=60)
     help_text = result.stdout + result.stderr
-    match = re.search(
-        r"--portfolio-backends.*?each one\s+of\s+(.+?)\s*\(default",
-        help_text, re.DOTALL)
+    match = re.search(r"--solver NAME.*?one\s+of\s+(.+?)\s*\(", help_text,
+                      re.DOTALL)
     if not match:
         return errors + [f"{explore_binary}: could not recover the backend "
-                         f"list from the --portfolio-backends help text"]
+                         f"list from the --solver help text"]
     backends = [b.strip() for b in re.split(r",\s*", match.group(1))
                 if b.strip()]
     if not backends:
-        return errors + [f"{explore_binary}: --portfolio-backends help "
-                         f"listed no backends (bad parse?)"]
+        return errors + [f"{explore_binary}: --solver help listed no "
+                         f"backends (bad parse?)"]
     for backend in backends:
         if f"`{backend}`" not in doc:
             errors.append(
