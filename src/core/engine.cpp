@@ -608,7 +608,9 @@ EngineStats DseEngine::explore(const PathCallback& on_path) {
     }
   } else {
     // Build every worker's resources up front (the factory need not be
-    // thread-safe), then let the pool drain the frontier.
+    // thread-safe), then let the pool drain the frontier. Backends defer
+    // their expensive set-up (z3's context) to their first call, on the
+    // worker's thread.
     struct Worker {
       WorkerResources res;
       std::unique_ptr<smt::Solver> solver;

@@ -227,7 +227,9 @@ struct WorkerResources {
 
 /// Builds the resources for worker `index`; called once per worker, from
 /// the engine's thread before the pool starts (the factory itself need not
-/// be thread-safe).
+/// be thread-safe). A backend may defer expensive set-up to its first call,
+/// which then runs on the worker's thread (the z3 backend builds its
+/// context there).
 using WorkerFactory = std::function<WorkerResources(unsigned index)>;
 
 /// Thread-safety: construct, explore() once, read the result — all from

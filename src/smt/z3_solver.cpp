@@ -24,24 +24,17 @@ void record_z3_error(Z3_context, Z3_error_code) {}
 
 class Z3Solver final : public Solver {
  public:
-  explicit Z3Solver(Context& ctx) : ctx_(ctx) {
-    Z3_config cfg = Z3_mk_config();
-    Z3_set_param_value(cfg, "model", "true");
-    z3_ = Z3_mk_context(cfg);
-    Z3_del_config(cfg);
-    Z3_set_error_handler(z3_, record_z3_error);
-    // One solver reused across all queries (fresh general-purpose solvers
-    // pay multi-millisecond setup per check). The simple solver is Z3's SMT
-    // kernel: a QF_BV logic solver hands every check made under a pushed
-    // scope to its incremental SAT solver, which costs about 0.8 ms per
-    // flip check whatever its size; the kernel answers the same checks in
-    // about half that. The kernel internalizes each assertion eagerly, so
-    // the engine asserts a trace's prefix only once a flip reaches it.
-    solver_ = Z3_mk_simple_solver(z3_);
-    Z3_solver_inc_ref(z3_, solver_);
-  }
+  // The context is built at the first backend call, not here. At jobs > 1
+  // the engine constructs every worker's solver on the engine's thread
+  // before the pool starts, and a context built on one thread and used on
+  // another costs several times more (its allocations fault in fresh
+  // pages). Built lazily, it is made on the worker thread that uses it,
+  // and a worker whose every question the query cache or the store
+  // answers builds none at all.
+  explicit Z3Solver(Context& ctx) : ctx_(ctx) {}
 
   ~Z3Solver() override {
+    if (z3_ == nullptr) return;
     Z3_solver_dec_ref(z3_, solver_);
     Z3_del_context(z3_);
   }
@@ -51,6 +44,7 @@ class Z3Solver final : public Solver {
 
   CheckResult check(std::span<const ExprRef> assertions,
                     Assignment* model) override {
+    ensure();
     auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
 
@@ -81,6 +75,7 @@ class Z3Solver final : public Solver {
   // itself travels as a check-assumption, never polluting the stack.
 
   void push() override {
+    ensure();
     Solver::push();
     Z3_solver_push(z3_, solver_);
   }
@@ -91,12 +86,14 @@ class Z3Solver final : public Solver {
   }
 
   void assert_(ExprRef assertion) override {
+    ensure();
     Solver::assert_(assertion);
     Z3_solver_assert(z3_, solver_, boolean(assertion));
   }
 
   CheckResult check_assuming(std::span<const ExprRef> assumptions,
                              Assignment* model) override {
+    ensure();
     auto start = std::chrono::steady_clock::now();
     ++stats_.queries;
     ++stats_.incremental_checks;
@@ -121,18 +118,44 @@ class Z3Solver final : public Solver {
 
   void set_deadline_ms(uint32_t ms) override {
     Solver::set_deadline_ms(ms);
-    // Native per-query timeout: Z3 interrupts the active check and returns
-    // Z3_L_UNDEF, which record() maps to kUnknown. 0 restores "no limit"
-    // (Z3's own default is UINT_MAX milliseconds).
+    if (z3_ != nullptr) apply_deadline();
+  }
+
+ private:
+  /// Build the context and its solver on first use (see the constructor).
+  void ensure() {
+    if (z3_ != nullptr) return;
+    Z3_config cfg = Z3_mk_config();
+    Z3_set_param_value(cfg, "model", "true");
+    Z3_context z3 = Z3_mk_context(cfg);
+    Z3_del_config(cfg);
+    if (z3 == nullptr) throw std::runtime_error("z3: cannot create a context");
+    z3_ = z3;
+    Z3_set_error_handler(z3_, record_z3_error);
+    // One solver reused across all queries (fresh general-purpose solvers
+    // pay multi-millisecond setup per check). The simple solver is Z3's SMT
+    // kernel: a QF_BV logic solver hands every check made under a pushed
+    // scope to its incremental SAT solver, which costs about 0.8 ms per
+    // flip check whatever its size; the kernel answers the same checks in
+    // about half that. The kernel internalizes each assertion eagerly, so
+    // the engine asserts a trace's prefix only once a flip reaches it.
+    solver_ = Z3_mk_simple_solver(z3_);
+    Z3_solver_inc_ref(z3_, solver_);
+    if (deadline_ms_ != 0) apply_deadline();
+  }
+
+  /// Native per-query timeout: Z3 interrupts the active check and returns
+  /// Z3_L_UNDEF, which record() maps to kUnknown. 0 restores "no limit"
+  /// (Z3's own default is UINT_MAX milliseconds).
+  void apply_deadline() {
     Z3_params params = Z3_mk_params(z3_);
     Z3_params_inc_ref(z3_, params);
     Z3_params_set_uint(z3_, params, Z3_mk_string_symbol(z3_, "timeout"),
-                       ms == 0 ? 0xFFFFFFFFu : ms);
+                       deadline_ms_ == 0 ? 0xFFFFFFFFu : deadline_ms_);
     Z3_solver_set_params(z3_, solver_, params);
     Z3_params_dec_ref(z3_, params);
   }
 
- private:
   Z3_ast bv_const(uint64_t value, unsigned width) {
     Z3_sort sort = Z3_mk_bv_sort(z3_, width);
     return Z3_mk_unsigned_int64(z3_, value, sort);
@@ -244,7 +267,7 @@ class Z3Solver final : public Solver {
   }
 
   Context& ctx_;
-  Z3_context z3_;
+  Z3_context z3_ = nullptr;  // built by ensure()
   Z3_solver solver_ = nullptr;
   // Persistent across queries: the Z3 context outlives every check, so the
   // per-node translation memo and the variable registry never invalidate.

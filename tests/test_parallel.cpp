@@ -257,6 +257,17 @@ TEST_F(ParallelEngineTest, WorkerPoolMatchesSequentialExploration) {
   }
 }
 
+TEST_F(ParallelEngineTest, IdleWorkersMatchSequentialExploration) {
+  // Fewer paths than workers: some workers never get a job and never build
+  // a Z3 context, and the rest build theirs concurrently on their threads.
+  core::Program program = load(kGuardedFailureGuest);
+  Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
+  ASSERT_LT(reference.paths, 8u);
+  Exploration parallel = explore(program, SearchKind::kDepthFirst, 8);
+  EXPECT_EQ(parallel.path_keys, reference.path_keys);
+  EXPECT_EQ(parallel.failures, reference.failures);
+}
+
 TEST_F(ParallelEngineTest, MaxPathsBudgetIsExactUnderParallelism) {
   core::Program program = load(kGuardedFailureGuest);
   Exploration bounded = explore(program, SearchKind::kDepthFirst, 4, 3);

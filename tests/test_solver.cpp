@@ -414,5 +414,68 @@ TEST(SolverDeadline, Z3AcceptsAndClearsDeadline) {
   EXPECT_EQ(solver->check(query, nullptr), CheckResult::kSat);
 }
 
+TEST(SolverDeadline, Z3HonorsDeadlineSetBeforeFirstQuery) {
+  // The deadline is set before the first query, so before the Z3 context
+  // exists: it must still reach the solver once the context is built.
+  Context ctx;
+  auto solver = make_z3_solver(ctx);
+  solver->set_deadline_ms(1);
+  // Factoring a product of two 32-bit primes cannot finish in a
+  // millisecond (without the deadline, Z3 does not answer it within two
+  // minutes).
+  ExprRef x = ctx.var("x", 64);
+  ExprRef y = ctx.var("y", 64);
+  ExprRef limit = ctx.constant(1ull << 32, 64);
+  std::vector<ExprRef> query = {
+      ctx.eq(ctx.mul(x, y), ctx.constant(2654435761ull * 3735928579ull, 64)),
+      ctx.ugt(x, ctx.constant(1, 64)), ctx.ugt(y, ctx.constant(1, 64)),
+      ctx.ult(x, limit), ctx.ult(y, limit)};
+  EXPECT_EQ(solver->check(query, nullptr), CheckResult::kUnknown);
+  EXPECT_EQ(solver->stats().unknown, 1u);
+  solver->set_deadline_ms(0);
+  std::vector<ExprRef> trivial = {ctx.eq(x, ctx.constant(7, 64))};
+  EXPECT_EQ(solver->check(trivial, nullptr), CheckResult::kSat);
+}
+
+TEST(Z3Solver, AnyEntryPointBuildsTheContext) {
+  // The Z3 context is built at the first backend call, whichever it is.
+  Context ctx;
+  ExprRef x = ctx.var("x", 16);
+  std::vector<ExprRef> bounds = {ctx.ugt(x, ctx.constant(100, 16)),
+                                 ctx.ult(x, ctx.constant(200, 16))};
+  {
+    auto solver = make_z3_solver(ctx);
+    Assignment model;
+    ASSERT_EQ(solver->check(bounds, &model), CheckResult::kSat);
+    EXPECT_TRUE(satisfies(bounds, model));
+  }
+  {
+    auto solver = make_z3_solver(ctx);
+    solver->push();
+    solver->assert_(bounds[0]);
+    Assignment model;
+    std::vector<ExprRef> assumption = {bounds[1]};
+    ASSERT_EQ(solver->check_assuming(assumption, &model), CheckResult::kSat);
+    EXPECT_TRUE(satisfies(bounds, model));
+    std::vector<ExprRef> contradiction = {ctx.ult(x, ctx.constant(50, 16))};
+    EXPECT_EQ(solver->check_assuming(contradiction, nullptr),
+              CheckResult::kUnsat);
+    solver->pop();
+  }
+  {
+    auto solver = make_z3_solver(ctx);
+    Assignment model;
+    ASSERT_EQ(solver->check_assuming(bounds, &model), CheckResult::kSat);
+    EXPECT_TRUE(satisfies(bounds, model));
+  }
+  {
+    // Never asked a query: destroying it must not touch Z3.
+    auto solver = make_z3_solver(ctx);
+    EXPECT_EQ(solver->name(), "z3");
+    solver->set_deadline_ms(5);
+    EXPECT_EQ(solver->stats().queries, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace binsym::smt
