@@ -1,12 +1,12 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <fstream>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -49,18 +49,44 @@ Finding finalize_finding(const smt::Context& ctx, const Detection& event,
   return f;
 }
 
-/// Balances a Solver::push() on every exit path of a trace's answer path.
-class SolverScope {
+/// A worker's solver assertion stack, kept across traces: one pushed level
+/// per asserted constraint, mirrored here (wrappers need not keep
+/// scoped_assertions()). Under DFS the next trace is a child of the last
+/// one and hash-consing makes their shared prefix pointer-identical, so
+/// sync() re-asserts only the constraints the two questions do not share.
+/// Every level is popped when the stack goes out of scope.
+class AssertionStack {
  public:
-  explicit SolverScope(smt::Solver& solver) : solver_(solver) {
-    solver_.push();
+  explicit AssertionStack(smt::Solver& solver) : solver_(solver) {}
+  ~AssertionStack() { pop_to(0); }
+  AssertionStack(const AssertionStack&) = delete;
+  AssertionStack& operator=(const AssertionStack&) = delete;
+
+  /// Make the live assertions exactly `prefix`: pop down to the longest
+  /// common prefix, then push and assert the rest, one level each.
+  void sync(std::span<const smt::ExprRef> prefix) {
+    size_t common = 0;
+    const size_t shared = std::min(levels_.size(), prefix.size());
+    while (common < shared && levels_[common] == prefix[common]) ++common;
+    pop_to(common);
+    levels_.reserve(prefix.size());  // push_back below cannot throw
+    for (size_t i = common; i < prefix.size(); ++i) {
+      solver_.push();
+      levels_.push_back(prefix[i]);
+      solver_.assert_(prefix[i]);
+    }
   }
-  ~SolverScope() { solver_.pop(); }
-  SolverScope(const SolverScope&) = delete;
-  SolverScope& operator=(const SolverScope&) = delete;
+
+  /// Pop every level (after a job error, the stack may be out of sync).
+  void clear() { pop_to(0); }
 
  private:
+  void pop_to(size_t depth) {
+    for (; levels_.size() > depth; levels_.pop_back()) solver_.pop();
+  }
+
   smt::Solver& solver_;
+  std::vector<smt::ExprRef> levels_;  // one per pushed level, oldest first
 };
 
 }  // namespace
@@ -214,7 +240,11 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   smt::SolverStore* const store = opts.solver_store.get();
   uint64_t cache_hits = 0, cache_misses = 0;
   uint64_t upstream_sat = 0, upstream_unsat = 0;  // cache or store answers
-  std::vector<smt::ExprRef> prefix;  // as-taken branches ∧ assumptions
+  // The trace's constraints in event order: as-taken branches, with
+  // assumption k just before branch assumptions[k].branch_index. Every
+  // question a trace asks is "a prefix of `events` ∧ target".
+  std::vector<smt::ExprRef> events;
+  AssertionStack stack(solver);
 
   // Per-job crash isolation: a job whose processing threw is recorded and
   // requeued until its retry budget is spent, then dropped as poisonous.
@@ -222,6 +252,8 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
   // incomplete.
   FlipJob job;
   auto on_job_error = [&](const char* what) {
+    // The throw may have left the solver's stack and its mirror apart.
+    stack.clear();
     ++local.worker_errors;
     shared.mark_incomplete(std::string("worker error: ") + what);
     if (job.retries < opts.max_job_retries) {
@@ -293,14 +325,12 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     //      process boundary), its name-keyed model translated back through
     //      this context's variable table — but only after the entry
     //      survives the collision checks below;
-    //   3. the solver, through the scoped API: the trace's scope opens at
-    //      the first question that gets this far, prefix[asserted..) is
-    //      asserted into it and the target ships as an assumption, so each
-    //      call's prefix must extend the last one until the scope closes.
+    //   3. the solver, through the scoped API: the worker's assertion
+    //      stack is synced to the (unsliced) prefix, re-asserting only what
+    //      the last question to get this far did not share, and the target
+    //      ships as an assumption.
     // A sat model comes back restricted to the effective query's variables;
     // merged over the seed, it satisfies the whole query.
-    std::optional<SolverScope> scope;
-    size_t asserted = 0;  // prefix constraints asserted into `scope`
     auto answer = [&](std::span<const smt::ExprRef> prefix,
                       smt::ExprRef target) {
       const smt::QuerySlicer::Result sliced = slicer.slice(prefix, target);
@@ -363,9 +393,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         ++(out.result == smt::CheckResult::kSat ? upstream_sat
                                                 : upstream_unsat);
       } else {
-        if (!scope) scope.emplace(solver);
-        for (; asserted < prefix.size(); ++asserted)
-          solver.assert_(prefix[asserted]);
+        stack.sync(prefix);
         const auto solve_start = std::chrono::steady_clock::now();
         out.result = solver.check_assuming(std::span(&target, 1), &model);
         if (out.result == smt::CheckResult::kUnknown) {
@@ -415,22 +443,29 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         ++local.finding_dupes;
       }
     };
-    auto push_branch = [&](size_t j) {
-      const BranchRecord& b = trace.branches[j];
-      prefix.push_back(b.taken ? b.cond : ctx.not_(b.cond));
-    };
+
+    // This trace's constraints, built once in event order (see `events`).
+    events.clear();
+    const std::vector<Assumption>& assumptions = trace.assumptions;
+    size_t assumed = 0;  // assumptions placed so far
+    for (size_t b = 0; b < trace.branches.size(); ++b) {
+      for (; assumed < assumptions.size() &&
+             assumptions[assumed].branch_index <= b;
+           ++assumed)
+        events.push_back(assumptions[assumed].expr);
+      const BranchRecord& branch = trace.branches[b];
+      events.push_back(branch.taken ? branch.cond : ctx.not_(branch.cond));
+    }
+    for (; assumed < assumptions.size(); ++assumed)  // after the last branch
+      events.push_back(assumptions[assumed].expr);
+    const std::span<const smt::ExprRef> constraints(events);
 
     // Finalize this run's oracle detections (finding.hpp). Concrete hits
     // carry the run's seed as their witness; a candidate asks whether its
     // violation is feasible under the constraints that held at the event
-    // point, branches[0, d) ∧ assumptions[0, a) ∧ cond, and a sat model over
-    // the seed becomes the witness. The trace records candidates in event
-    // order, so their prefixes nest when the prefix grows in event order
-    // too (assumption k precedes branch assumptions[k].branch_index).
+    // point, branches[0, d) ∧ assumptions[0, a) ∧ cond — the first d + a
+    // events — and a sat model over the seed becomes the witness.
     for (const OracleHit& hit : trace.oracle_hits) record(hit, seed);
-    prefix.clear();
-    size_t next_branch = 0;      // prefix branches appended so far
-    size_t next_assumption = 0;  // trace assumptions appended so far
     for (const OracleCandidate& c : trace.oracle_candidates) {
       // Already proven by some other path: skip the solver work. A racing
       // insert below still dedups correctly — this is only a fast path.
@@ -450,51 +485,35 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         }
       }
       ++local.candidates_checked;
-      while (next_branch < c.branch_depth ||
-             next_assumption < c.assumption_count) {
-        if (next_assumption < c.assumption_count &&
-            trace.assumptions[next_assumption].branch_index <= next_branch) {
-          prefix.push_back(trace.assumptions[next_assumption++].expr);
-        } else {
-          push_branch(next_branch++);
-        }
-      }
-      const smt::QueryCache::Entry feasible = answer(prefix, c.cond);
+      const smt::QueryCache::Entry feasible = answer(
+          constraints.first(c.branch_depth + c.assumption_count), c.cond);
       if (feasible.result != smt::CheckResult::kSat) continue;
       if (statically_proved) ++local.static_mismatches;
       ++local.candidates_feasible;
       record(c, over_seed(feasible.model));
     }
-    // The flip phase grows its prefix in another order (every branch below
-    // job.bound first), so it starts over with the scope closed.
-    scope.reset();
-    asserted = next_branch = next_assumption = 0;
-    prefix.clear();
 
     // Schedule flips. Under DFS, pushing shallow flips first leaves the
-    // deepest flip on top of the stack: the paper's selection order.
-    //
-    // Every flip of this trace shares the prefix conjunction with its
-    // successors (flip i+1's prefix is flip i's plus one constraint), so
-    // the prefix is grown once, incrementally. A trace whose flips are all
-    // answered without the backend never touches the solver's assertion
-    // stack.
+    // deepest flip on top of the stack: the paper's selection order, and
+    // the next trace then shares this one's events up to the flipped
+    // branch, which the assertion stack keeps asserted.
+    assumed = 0;
     for (size_t i = job.bound; i < trace.branches.size(); ++i) {
       // Once the exploration is stopped (budget hit, worker error) the
       // remaining flips of this trace would only feed a dead frontier;
       // wind down instead of spending solver time on them.
       if (shared.frontier.stopped()) break;
 
-      // Extend the shared prefix to flip point i: branches [0, i) in
-      // as-taken form plus the assumptions made up to the flip point.
-      while (next_branch < i) push_branch(next_branch++);
-      while (next_assumption < trace.assumptions.size() &&
-             trace.assumptions[next_assumption].branch_index <= i)
-        prefix.push_back(trace.assumptions[next_assumption++].expr);
+      // Flip point i's prefix: the events before branch i, i.e. branches
+      // [0, i) in as-taken form plus the assumptions made up to i.
+      while (assumed < assumptions.size() &&
+             assumptions[assumed].branch_index <= i)
+        ++assumed;
       const BranchRecord& flip = trace.branches[i];
       ++local.flip_attempts;
       const smt::QueryCache::Entry flipped =
-          answer(prefix, flip.taken ? ctx.not_(flip.cond) : flip.cond);
+          answer(constraints.first(i + assumed),
+                 flip.taken ? ctx.not_(flip.cond) : flip.cond);
       // An unknown verdict (deadline expiry, exhausted failover) is *not*
       // infeasible: the flip is skipped explicitly, never cached, and
       // counted so a timeout cannot silently masquerade as unsat.

@@ -65,9 +65,11 @@ struct EngineOptions {
   // -- Flip solving. Every branch flip takes one path: the query is sliced
   // to the prefix constraints variable-connected to the negated branch
   // (smt/slice.hpp), keyed, and answered by the per-worker query cache,
-  // then the persistent store below, then the solver's scoped API (the
-  // prefix asserted at most once per trace, the negated branch checked as
-  // an assumption; the scope opens only when a flip reaches the backend).
+  // then the persistent store below, then the solver's scoped API: each
+  // worker keeps one assertion stack across traces and syncs it to the
+  // flip's prefix, asserting only what the last backend question did not
+  // share, and checks the negated branch as an assumption. The stack is
+  // touched only when a flip reaches the backend.
   /// Persistent content-addressed query/model store (smt/store.hpp),
   /// shared across workers (internally locked) and across *processes*:
   /// flip queries answer from it before reaching a solver, definitive

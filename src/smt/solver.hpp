@@ -79,9 +79,10 @@ class Solver {
 
   // -- Scoped (incremental) API. --------------------------------------------
   //
-  // The engine asserts a trace's branch-prefix constraints once and checks
-  // each flip as an assumption on top, instead of re-sending the whole
-  // conjunction per flip. The base-class implementation keeps the scoped
+  // The engine keeps a trace's prefix constraints asserted, one pushed
+  // level each and across sibling traces, and checks each flip as an
+  // assumption on top, instead of re-sending the whole conjunction per
+  // flip. The base-class implementation keeps the scoped
   // assertions client-side and answers check_assuming() via one stateless
   // check() over scoped + assumptions — a correct compatibility adapter for
   // any backend (the bit-blasting one uses it as-is). Backends with native

@@ -138,7 +138,8 @@ class Z3Solver final : public Solver {
     // scope to its incremental SAT solver, which costs about 0.8 ms per
     // flip check whatever its size; the kernel answers the same checks in
     // about half that. The kernel internalizes each assertion eagerly, so
-    // the engine asserts a trace's prefix only once a flip reaches it.
+    // the engine asserts only for a question that reaches the backend, and
+    // only the prefix constraints its assertion stack does not hold yet.
     solver_ = Z3_mk_simple_solver(z3_);
     Z3_solver_inc_ref(z3_, solver_);
     if (deadline_ms_ != 0) apply_deadline();

@@ -5,10 +5,12 @@
 // (the only solver API it calls, for branch flips and oracle candidates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -139,15 +141,39 @@ TEST_F(IntegrationTest, WorkloadOutputsAreWellFormedBase64) {
   });
 }
 
-// -- The lazily opened flip scope. -------------------------------------------
+// -- The worker's assertion stack. -------------------------------------------
+
+/// A trace's constraints in event order, built independently of the engine:
+/// as-taken branches, with assumption k just before branch
+/// assumptions[k].branch_index. Every question the engine asks about the
+/// trace is a prefix of this list plus a target.
+std::vector<smt::ExprRef> event_order(smt::Context& ctx,
+                                      const core::PathTrace& trace) {
+  std::vector<smt::ExprRef> events;
+  size_t k = 0;
+  for (size_t b = 0; b < trace.branches.size(); ++b) {
+    for (; k < trace.assumptions.size() &&
+           trace.assumptions[k].branch_index <= b;
+         ++k)
+      events.push_back(trace.assumptions[k].expr);
+    const core::BranchRecord& branch = trace.branches[b];
+    events.push_back(branch.taken ? branch.cond : ctx.not_(branch.cond));
+  }
+  for (; k < trace.assumptions.size(); ++k)
+    events.push_back(trace.assumptions[k].expr);
+  return events;
+}
 
 /// Forwards to a real backend and counts the solver-API calls since the
-/// last reset of `counts`.
+/// last reset of `counts`. When `events` is set, every check also records
+/// whether the live scoped assertions are, pointer for pointer, a prefix
+/// of it.
 class CountingSolver final : public smt::ForwardingSolver {
  public:
   struct Counts {
     uint64_t push = 0, pop = 0, asserts = 0, backend_checks = 0;
     uint64_t stateless_checks = 0;
+    uint64_t off_prefix_checks = 0;   // scope not a prefix of `events`
     size_t scoped_at_last_check = 0;  // live scoped assertions then
   };
 
@@ -175,7 +201,11 @@ class CountingSolver final : public smt::ForwardingSolver {
   smt::CheckResult check_assuming(std::span<const smt::ExprRef> assumptions,
                                   smt::Assignment* model) override {
     ++counts.backend_checks;
-    counts.scoped_at_last_check = scoped_assertions().size();
+    const std::span<const smt::ExprRef> scoped = scoped_assertions();
+    counts.scoped_at_last_check = scoped.size();
+    if (scoped.size() > events.size() ||
+        !std::equal(scoped.begin(), scoped.end(), events.begin()))
+      ++counts.off_prefix_checks;
     smt::CheckResult result = inner_->check_assuming(assumptions, model);
     stats_ = inner_->stats();
     return result;
@@ -183,24 +213,28 @@ class CountingSolver final : public smt::ForwardingSolver {
   std::string name() const override { return inner_->name(); }
 
   Counts counts;
+  std::vector<smt::ExprRef> events;  // the current trace's, in event order
 };
 
-struct LazyScopeCase {
+struct AssertionStackCase {
   const char* workload;
   // Model-independent scoped-API totals of the default configuration.
   uint64_t incremental_checks;
   uint64_t reused_assertions;
 };
-void PrintTo(const LazyScopeCase& c, std::ostream* os) { *os << c.workload; }
+void PrintTo(const AssertionStackCase& c, std::ostream* os) {
+  *os << c.workload;
+}
 
-class LazyScope : public IntegrationTest,
-                  public ::testing::WithParamInterface<LazyScopeCase> {};
+class AssertionStack
+    : public IntegrationTest,
+      public ::testing::WithParamInterface<AssertionStackCase> {};
 
-TEST_P(LazyScope, SolverScopeOpensOnlyForFlipsThatReachTheBackend) {
+TEST_P(AssertionStack, SiblingTracesReassertOnlyWhatTheyDoNotShare) {
   // With one worker, the path callback of trace k+1 fires after trace k's
   // flip loop and before trace k+1's, so the solver calls between two
   // callbacks are exactly one trace's.
-  const LazyScopeCase& param = GetParam();
+  const AssertionStackCase& param = GetParam();
   core::Program program = workloads::load_workload(table, param.workload);
   smt::Context ctx;
   core::BinSymExecutor executor(ctx, decoder, registry, program);
@@ -208,50 +242,104 @@ TEST_P(LazyScope, SolverScopeOpensOnlyForFlipsThatReachTheBackend) {
   CountingSolver* solver = owned.get();
   core::DseEngine engine(executor, std::move(owned));
 
-  uint64_t prefix_len = 0;  // branches + assumptions of the counted trace
-  uint64_t quiet_traces = 0, solving_traces = 0;
-  uint64_t quiet_violations = 0, scope_violations = 0, reasserted = 0;
-  bool counting = false;
-  auto close_trace = [&] {
+  uint64_t quiet_traces = 0, solving_traces = 0, quiet_violations = 0;
+  uint64_t off_prefix_checks = 0, asserts = 0, pushes = 0, pops = 0;
+  // What a scope opened per trace would assert: its size at the trace's
+  // last backend check, summed over the traces that reach the backend.
+  uint64_t per_trace_asserts = 0;
+  // The last trace's counts also hold the pops that tear the stack down
+  // at the end of the exploration.
+  auto close_trace = [&](bool last) {
     const CountingSolver::Counts& c = solver->counts;
     if (c.backend_checks == 0) {
-      // Every flip answered by the cache (or nothing to flip): the
+      // Every question answered by the cache (or nothing to ask): the
       // assertion stack is never touched.
       ++quiet_traces;
-      if (c.push + c.pop + c.asserts != 0) ++quiet_violations;
+      if (c.push + (last ? 0 : c.pop) + c.asserts != 0) ++quiet_violations;
     } else {
       ++solving_traces;
-      if (c.push != 1 || c.pop != 1) ++scope_violations;
-      // The scope lives for the whole trace, so an assertion count equal
-      // to the scope size at the last check means none was repeated.
-      if (c.asserts != c.scoped_at_last_check || c.asserts > prefix_len)
-        ++reasserted;
+      per_trace_asserts += c.scoped_at_last_check;
     }
+    off_prefix_checks += c.off_prefix_checks;
+    asserts += c.asserts;
+    pushes += c.push;
+    pops += c.pop;
     solver->counts = {};
   };
+  bool counting = false;
   core::EngineStats stats = engine.explore([&](const core::PathResult& path) {
-    if (counting) close_trace();
+    if (counting) close_trace(false);
     counting = true;
-    prefix_len = path.trace.branches.size() + path.trace.assumptions.size();
+    solver->events = event_order(ctx, path.trace);
   });
-  close_trace();
+  close_trace(true);
 
   EXPECT_GT(quiet_traces, 0u);
   EXPECT_GT(solving_traces, 0u);
   EXPECT_EQ(quiet_violations, 0u);
-  EXPECT_EQ(scope_violations, 0u);
-  EXPECT_EQ(reasserted, 0u);
+  EXPECT_EQ(off_prefix_checks, 0u);
+  EXPECT_EQ(pushes, asserts);  // one level per assertion
+  EXPECT_EQ(pops, pushes);
+  EXPECT_TRUE(solver->scoped_assertions().empty());
+  // Sibling traces share their prefix up to the flipped branch, and the
+  // stack keeps it asserted from one trace to the next (clif-parser has a
+  // single solving trace, so nothing to share).
+  EXPECT_LE(asserts, per_trace_asserts);
+  if (solving_traces > 1) EXPECT_LT(asserts, per_trace_asserts);
   EXPECT_EQ(stats.solver.incremental_checks, param.incremental_checks);
   EXPECT_EQ(stats.solver.reused_assertions, param.reused_assertions);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Table1, LazyScope,
-    ::testing::Values(LazyScopeCase{"base64-encode", 638, 6941},
-                      LazyScopeCase{"bubble-sort", 2172, 24599},
-                      LazyScopeCase{"clif-parser", 31, 465},
-                      LazyScopeCase{"insertion-sort", 5039, 65054},
-                      LazyScopeCase{"uri-parser", 84, 2007}));
+    Table1, AssertionStack,
+    ::testing::Values(AssertionStackCase{"base64-encode", 638, 6941},
+                      AssertionStackCase{"bubble-sort", 2172, 24599},
+                      AssertionStackCase{"clif-parser", 31, 465},
+                      AssertionStackCase{"insertion-sort", 5039, 65054},
+                      AssertionStackCase{"uri-parser", 84, 2007}));
+
+TEST_F(IntegrationTest, AssertionStackIsEmptyAfterEveryExploration) {
+  // The worker keeps its stack across traces, so the end of an exploration
+  // must pop it: the second run of the same engine then starts clean. A
+  // level left behind would sit under every later question, and the
+  // second run would lose paths to wrong unsat verdicts.
+  core::Program program = workloads::load_workload(table, "bubble-sort");
+  smt::Context ctx;
+  core::BinSymExecutor executor(ctx, decoder, registry, program);
+  auto explore_keys = [](core::DseEngine& engine) {
+    std::set<std::string> keys;
+    engine.explore([&](const core::PathResult& path) {
+      std::string key;
+      for (const core::BranchRecord& b : path.trace.branches)
+        key += b.taken ? '1' : '0';
+      keys.insert(key);
+    });
+    return keys;
+  };
+  auto owned = std::make_unique<CountingSolver>(smt::make_z3_solver(ctx));
+  CountingSolver* solver = owned.get();
+  core::DseEngine engine(executor, std::move(owned));
+  const std::set<std::string> first = explore_keys(engine);
+  EXPECT_EQ(first.size(), 720u);
+  EXPECT_GT(solver->counts.push, 0u);
+  EXPECT_EQ(solver->counts.pop, solver->counts.push);
+  EXPECT_TRUE(solver->scoped_assertions().empty());
+  EXPECT_EQ(explore_keys(engine), first);
+  EXPECT_EQ(solver->counts.pop, solver->counts.push);
+  EXPECT_TRUE(solver->scoped_assertions().empty());
+
+  // A capped run stops with the last trace's prefix still asserted.
+  core::EngineOptions options;
+  options.max_paths = 100;
+  auto capped_owned =
+      std::make_unique<CountingSolver>(smt::make_z3_solver(ctx));
+  CountingSolver* capped_solver = capped_owned.get();
+  core::DseEngine capped(executor, std::move(capped_owned), options);
+  EXPECT_EQ(explore_keys(capped).size(), 100u);
+  EXPECT_GT(capped_solver->counts.push, 0u);
+  EXPECT_EQ(capped_solver->counts.pop, capped_solver->counts.push);
+  EXPECT_TRUE(capped_solver->scoped_assertions().empty());
+}
 
 TEST_F(IntegrationTest, OracleCandidatesUseOnlyTheScopedApi) {
   // Every candidate reaches the answer path (no static pruning), and the

@@ -18,6 +18,7 @@
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
 #include "support/fault.hpp"
+#include "workloads/workloads.hpp"
 
 namespace binsym::core {
 namespace {
@@ -297,6 +298,36 @@ TEST_F(RobustnessTest, CrashedJobIsRequeuedOnceAndRetrySucceeds) {
   EXPECT_NE(stats.incomplete_reason.find("injected solver backend failure"),
             std::string::npos)
       << stats.incomplete_reason;
+}
+
+TEST_F(RobustnessTest, BackendCrashWithADeepStackOpenLosesNoPath) {
+  // Workers keep their solver assertion stack across traces, so a backend
+  // crash lands with many levels open (bubble-sort's prefixes run up to 15
+  // constraints deep). The job error must leave the worker's stack in step
+  // with the solver: one left out of sync would answer later questions
+  // under the wrong assertions, and a wrong unsat loses paths — which the
+  // fault matrix, checking only that no path is invented, would not see.
+  Program program = workloads::load_workload(table, "bubble-sort");
+  std::set<std::string> baseline;
+  {
+    DseEngine engine(factory_for(program), EngineOptions{});
+    baseline = explore(engine, nullptr);
+  }
+  ASSERT_EQ(baseline.size(), 720u);
+
+  for (const char* spec :
+       {"solver-throw@1", "solver-throw@40", "solver-throw@400"}) {
+    SCOPED_TRACE(spec);
+    EngineOptions options;
+    options.fault_plan = FaultPlan::parse(spec);
+    ASSERT_TRUE(options.fault_plan);
+    DseEngine engine(factory_for(program), options);
+    EngineStats stats;
+    EXPECT_EQ(explore(engine, &stats), baseline);
+    EXPECT_EQ(stats.worker_errors, 1u);
+    EXPECT_EQ(stats.jobs_requeued, 1u);
+    EXPECT_EQ(stats.jobs_poisoned, 0u);
+  }
 }
 
 TEST_F(RobustnessTest, PersistentlyCrashingJobIsPoisonedAfterRetryBudget) {
