@@ -3,17 +3,16 @@
 // Two questions share this harness. The paper's future-work question
 // (Sect. V-B): does translating through formal ISA semantics change SMT
 // query complexity compared to an IR-based translation? And this repo's
-// own: what do expression interning and the backend layer change about the
-// per-flip solver cost?
+// own: what does the persistent solver store change about the per-flip
+// solver cost?
 //
 // For every Table I workload the harness explores with BinSym (DSL
 // semantics) and the BINSEC-like engine (lifter IR) under the "default"
-// flip pipeline (sliced query, cache, scoped solver) — plus a "no-intern"
-// row re-running it with expression hash-consing disabled
-// (smt/context.hpp) — and measures the *effective* branch-flip queries:
-// distinct DAG nodes per query, cumulative solver seconds and cache hits.
-// Path counts are printed so every row doubles as a determinism check —
-// they must not move across configurations, the intern toggle included.
+// flip pipeline (sliced query, cache, scoped solver) and measures the
+// *effective* branch-flip queries: distinct DAG nodes per query, cumulative
+// solver seconds and cache hits. Path counts are printed so every row
+// doubles as a determinism check — they must not move across
+// configurations.
 //
 // A "persistent" row extends the sweep (see docs/SOLVERS.md): it runs the
 // default pipeline twice over one content-addressed solver store — the
@@ -39,19 +38,14 @@ namespace {
 
 struct Config {
   const char* name;
-  bool intern = true;
   bool persistent = false;  // cold + warm pair over one solver store
 };
 
-// "default" is the exploration every other row is compared against. The
-// "no-intern" row re-runs it with expression hash-consing off (the legacy
-// fresh-node-per-call allocator), isolating how much of the query DAG size
-// the intern arena's structural sharing removes; the "persistent" row puts
-// a solver store under it (docs/SOLVERS.md).
+// "default" is the exploration every other row is compared against; the
+// "persistent" row puts a solver store under it (docs/SOLVERS.md).
 constexpr Config kConfigs[] = {
     {"default"},
-    {"no-intern", /*intern=*/false},
-    {"persistent", true, /*persistent=*/true},
+    {"persistent", /*persistent=*/true},
 };
 
 /// Checks the backend actually ran: queries it neither answered from the
@@ -70,7 +64,6 @@ core::EngineStats measure(const std::string& engine,
                           core::EngineStats* cold_out) {
   core::EngineOptions options;
   options.max_paths = max_paths;
-  options.intern_exprs = config.intern;
   options.measure_query_nodes = true;
 
   if (!config.persistent)
@@ -106,7 +99,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "ABLATION: SMT QUERY COMPLEXITY — translation strategy x solver "
-      "pipeline {default, no-intern, persistent}%s\n",
+      "pipeline {default, persistent}%s\n",
       quick ? " (quick)" : "");
   std::printf("%-16s %-8s %-13s %8s %8s %10s %9s %10s %10s\n", "Benchmark",
               "engine", "config", "paths", "queries", "avg nodes", "max nodes",
@@ -119,34 +112,15 @@ int main(int argc, char** argv) {
 
     for (const char* engine : {"binsym", "binsec"}) {
       uint64_t default_paths = 0;
-      uint64_t interned_nodes_total = 0;  // "default" row (intern on)
       for (const Config& config : kConfigs) {
         core::EngineStats cold{};
         core::EngineStats s =
             measure(engine, setup, config, max_paths,
                     info.name + "-" + engine, &cold);
         // Determinism guard: no row may change the explored path set's
-        // size. The intern toggle is held to the same bar — hash-consing
-        // must be purely representational.
-        if (&config == &kConfigs[0]) {
-          default_paths = s.paths;
-          interned_nodes_total = s.query_nodes_total;
-        }
+        // size.
+        if (&config == &kConfigs[0]) default_paths = s.paths;
         if (s.paths != default_paths) ++failures;
-        // Sharing guard: the legacy allocator duplicates structurally equal
-        // nodes (re-read bytes, re-minted constants), so on the byte-heavy
-        // workloads the interned pipeline must ship strictly smaller query
-        // DAGs than the otherwise identical no-intern row.
-        if (std::strcmp(config.name, "no-intern") == 0 &&
-            (info.name == "base64-encode" || info.name == "uri-parser") &&
-            interned_nodes_total >= s.query_nodes_total) {
-          std::printf("FAIL: %s/%s intern on did not reduce query nodes "
-                      "(%llu >= %llu)\n",
-                      info.name.c_str(), engine,
-                      static_cast<unsigned long long>(interned_nodes_total),
-                      static_cast<unsigned long long>(s.query_nodes_total));
-          ++failures;
-        }
         // Warm-vs-cold guard: the persistent row's reported stats are the
         // warm second run; its cold twin must have explored the same path
         // count, and on the query-heavy workloads the store must absorb at
@@ -182,14 +156,13 @@ int main(int argc, char** argv) {
           std::fprintf(
               json,
               "{\"workload\":\"%s\",\"engine\":\"%s\",\"config\":\"%s\","
-              "\"quick\":%s,\"intern\":%s,\"paths\":%llu,\"queries\":%llu,"
+              "\"quick\":%s,\"paths\":%llu,\"queries\":%llu,"
               "\"query_nodes_total\":%llu,"
               "\"avg_query_nodes\":%.2f,\"max_query_nodes\":%llu,"
               "\"solver_seconds\":%.6f,"
               "\"cache_hits\":%llu,\"sliced_out\":%llu,"
               "\"store_hits\":%llu,\"backend_calls\":%llu}\n",
               info.name.c_str(), engine, config.name, quick ? "true" : "false",
-              config.intern ? "true" : "false",
               static_cast<unsigned long long>(s.paths),
               static_cast<unsigned long long>(s.flip_attempts),
               static_cast<unsigned long long>(s.query_nodes_total), avg_nodes,
@@ -207,11 +180,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nNotes: identical expression layer + folding on both engines, so "
-      "equal node counts answer the paper's open question. The no-intern "
-      "row re-runs the default pipeline with hash-consing off; paths must "
-      "not move and query nodes must not shrink. The persistent row is the "
-      "warm second run over a solver store its cold twin populated "
-      "(docs/SOLVERS.md) — on "
+      "equal node counts answer the paper's open question. The persistent "
+      "row is the warm second run over a solver store its cold twin "
+      "populated (docs/SOLVERS.md) — on "
       "base64-encode/uri-parser the warm run must issue >=5x fewer "
       "backend calls. JSON lines: BENCH_smt_queries.json\n");
   if (failures) {

@@ -28,7 +28,6 @@
 #include "core/engine.hpp"
 #include "isa/decoder.hpp"
 #include "oracles/manager.hpp"
-#include "smt/pipe.hpp"
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
 #include "vp/vp_executor.hpp"
@@ -41,8 +40,8 @@ namespace binsym::bench {
 /// wrapped in a FailoverSolver: a kUnknown (timeout) or thrown backend
 /// failure on the primary retries once, statelessly, on the other backend.
 struct RobustnessOptions {
-  std::string solver = "z3";      // primary backend: "z3" | "bitblast" |
-                                  // "pipe:CMD" (docs/SOLVERS.md)
+  std::string solver = "z3";      // primary backend: "z3" | "bitblast"
+                                  // (docs/SOLVERS.md)
   uint32_t query_timeout_ms = 0;  // per-query deadline; 0 = none
   bool failover = true;           // retry unknowns on the other backend
 };
@@ -58,28 +57,20 @@ struct EngineSetup {
   /// Solver deadline/failover knobs, also defaulted (no deadline, plain z3
   /// backend) so existing aggregate initializations keep working.
   RobustnessOptions robust{};
-  /// Hash-cons expression nodes in every worker Context built from this
-  /// setup (smt/context.hpp). Off = legacy fresh-node-per-call allocator,
-  /// for the differential harness and the --no-intern ablation.
-  bool intern_exprs = true;
 };
 
-/// True when `name` is a backend make_named_solver can build: "z3",
-/// "bitblast", or "pipe:CMD" with a non-blank CMD (an external SMT-LIB
-/// solver command, e.g. "pipe:z3 -in"; see smt/pipe.hpp).
+/// True when `name` is a backend make_named_solver can build: "z3" or
+/// "bitblast".
 inline bool known_backend(const std::string& name) {
-  return name == "z3" || name == "bitblast" ||
-         (name.rfind("pipe:", 0) == 0 &&
-          !smt::split_command(name.substr(5)).empty());
+  return name == "z3" || name == "bitblast";
 }
 
 /// A backend by CLI name (see known_backend); null on other names.
 inline std::unique_ptr<smt::Solver> make_named_solver(const std::string& name,
                                                       smt::Context& ctx) {
-  if (!known_backend(name)) return nullptr;
   if (name == "z3") return smt::make_z3_solver(ctx);
   if (name == "bitblast") return smt::make_bitblast_solver(ctx);
-  return smt::make_pipe_solver(ctx, name.substr(5));
+  return nullptr;
 }
 
 /// Build the worker solver stack described by `robust` on `ctx`: the named
@@ -119,7 +110,7 @@ inline core::WorkerResources build_worker(
     bool with_solver = true) {
   core::WorkerResources r;
   if (!known_engine(engine)) return r;
-  r.ctx = std::make_unique<smt::Context>(s.intern_exprs);
+  r.ctx = std::make_unique<smt::Context>();
   if (engine == "binsym") {
     r.executor = std::make_unique<core::BinSymExecutor>(
         *r.ctx, s.decoder, s.registry, s.program, s.config);
@@ -259,12 +250,7 @@ inline core::EngineStats explore_parallel(
     const std::string& engine, const EngineSetup& s,
     core::EngineOptions options,
     const core::DseEngine::PathCallback& on_path = nullptr) {
-  // The intern toggle lives on EngineOptions for CLI/engine consumers, but
-  // contexts are built by the factory — mirror it into the setup so the two
-  // can never disagree for a run.
-  EngineSetup setup = s;
-  setup.intern_exprs = options.intern_exprs;
-  core::DseEngine dse(make_worker_factory(engine, setup), options);
+  core::DseEngine dse(make_worker_factory(engine, s), options);
   return dse.explore(on_path);
 }
 
@@ -305,16 +291,6 @@ inline unsigned parse_jobs_arg(std::string_view arg) {
                           parse_unsigned_arg("--jobs", arg, UINT_MAX)));
 }
 
-/// Expression-layer toggle, shared by every harness: --no-intern (fresh
-/// expression nodes per builder call instead of hash-consing). Returns
-/// false when `arg` is anything else.
-inline bool parse_solver_opt_flag(const char* arg,
-                                  core::EngineOptions* options) {
-  if (std::strcmp(arg, "--no-intern") != 0) return false;
-  options->intern_exprs = false;
-  return true;
-}
-
 /// Micro-op fast-path knobs, shared by every harness: --no-uop disables the
 /// block-compiled fast path (pure per-instruction spec interpretation),
 /// --uop-cache-size N bounds the per-worker block cache. Consumes the value
@@ -337,7 +313,7 @@ inline bool parse_uop_flag(int argc, char** argv, int* i,
 
 /// Robustness knobs, shared by every harness (docs/ROBUSTNESS.md,
 /// docs/SOLVERS.md):
-///   --solver NAME             primary backend (z3 | bitblast | pipe:CMD)
+///   --solver NAME             primary backend (z3 | bitblast)
 ///   --query-timeout-ms N      per-solver-query deadline (0 = none)
 ///   --no-failover             don't retry unknowns on the other backend
 ///   --deadline-secs N         wall-clock budget for the whole exploration
@@ -355,7 +331,7 @@ inline bool parse_robustness_flag(int argc, char** argv, int* i,
     robust->solver = argv[++*i];
     if (!known_backend(robust->solver)) {
       std::fprintf(stderr,
-                   "unknown solver '%s' (want z3, bitblast or pipe:CMD)\n",
+                   "unknown solver '%s' (want z3 or bitblast)\n",
                    robust->solver.c_str());
       *ok = false;
     }

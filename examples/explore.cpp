@@ -4,9 +4,8 @@
 //
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
-//           [--no-intern]
 //           [--no-uop] [--uop-cache-size N]
-//           [--solver z3|bitblast|pipe:CMD] [--query-timeout-ms N]
+//           [--solver z3|bitblast] [--query-timeout-ms N]
 //           [--no-failover]
 //           [--solver-store DIR]
 //           [--deadline-secs N] [--memory-budget-mb N] [--fault-inject SPEC]
@@ -43,15 +42,11 @@ void print_usage(std::FILE* out, const char* prog) {
       "  --jobs N                 worker count (1 = sequential)\n"
       "  --search dfs|bfs|random|coverage\n"
       "                           path-selection strategy\n"
-      "  --no-intern              disable expression hash-consing (legacy\n"
-      "                           fresh-node-per-call allocator)\n"
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
       "  --uop-cache-size N       cached micro-op blocks per worker\n"
       "  --solver NAME            primary SMT backend (default z3); one of\n"
-      "                           z3, bitblast, pipe:CMD (external SMT-LIB\n"
-      "                           solver command, e.g. 'pipe:z3 -in' — see\n"
-      "                           docs/SOLVERS.md)\n"
+      "                           z3, bitblast (see docs/SOLVERS.md)\n"
       "  --query-timeout-ms N     per-solver-query deadline; a query that\n"
       "                           exceeds it returns unknown and the flip\n"
       "                           is skipped, never treated as infeasible\n"
@@ -173,8 +168,6 @@ int main(int argc, char** argv) {
       options.jobs = bench::parse_jobs_arg(argv[++i]);
     } else if (std::strcmp(argv[i], "--search") == 0 && i + 1 < argc) {
       if (!bench::parse_search_arg(argv[++i], &options.search)) return 2;
-    } else if (bench::parse_solver_opt_flag(argv[i], &options)) {
-      // handled
     } else if (bool ok;
                bench::parse_robustness_flag(argc, argv, &i, &robust, &options,
                                             &ok)) {
@@ -268,7 +261,6 @@ int main(int argc, char** argv) {
   }
 
   bench::EngineSetup setup{decoder, registry, program, mconfig, robust};
-  setup.intern_exprs = options.intern_exprs;
   if (!bench::known_engine(engine_name)) {
     std::fprintf(stderr, "unknown engine '%s'\n", engine_name.c_str());
     return 2;

@@ -53,13 +53,6 @@ struct EngineOptions {
   unsigned jobs = 1;
   /// Seed for SearchKind::kRandomPath (reproducible schedules).
   uint64_t rng_seed = 1;
-  /// Hash-cons expression nodes in each worker's Context (the default).
-  /// Off preserves the legacy fresh-node-per-call allocator for the
-  /// differential test harness; the explored path set is invariant.
-  /// Takes effect where worker contexts are built (the worker factory) —
-  /// the single-executor constructor inherits its caller's Context as-is.
-  /// CLI: --no-intern.
-  bool intern_exprs = true;
   /// Validate every sat model by concrete evaluation (testing aid).
   bool validate_models = false;
   // -- Flip solving. Every branch flip takes one path: the query is sliced
@@ -178,7 +171,7 @@ struct EngineStats {
   // -- Expression arena (smt/context.hpp), summed over worker contexts.
   uint64_t exprs_interned = 0;  // nodes allocated in the arena
   uint64_t intern_hits = 0;     // builder calls answered from the intern
-                                // table (zero with intern_exprs off)
+                                // table
   uint64_t arena_bytes = 0;     // bytes held by arenas + intern tables
   // -- Robustness (docs/ROBUSTNESS.md). Zero on a healthy run with no
   // deadlines configured.

@@ -79,24 +79,21 @@ ExprRef Context::intern(Kind kind, unsigned width, uint64_t constant,
                                         : constant;
   uint64_t hash = content_hash(kind, width, payload, aux0, aux1, a, b, c);
 
-  size_t slot = 0;
-  if (intern_) {
-    if (table_used_ * 4 >= table_.size() * 3) grow_table();
-    size_t mask = table_.size() - 1;
-    slot = hash & mask;
-    while (table_[slot]) {
-      Expr* n = node_at(table_[slot]);
-      // Children are interned first, so comparing child pointers is the
-      // full structural equality check.
-      if (n->hash == hash && n->kind == kind && n->width == width &&
-          n->constant == constant && n->var_id == var_id && n->aux0 == aux0 &&
-          n->aux1 == aux1 && n->ops[0] == a && n->ops[1] == b &&
-          n->ops[2] == c) {
-        ++intern_hits_;
-        return n;
-      }
-      slot = (slot + 1) & mask;
+  if (table_used_ * 4 >= table_.size() * 3) grow_table();
+  size_t mask = table_.size() - 1;
+  size_t slot = hash & mask;
+  while (table_[slot]) {
+    Expr* n = node_at(table_[slot]);
+    // Children are interned first, so comparing child pointers is the
+    // full structural equality check.
+    if (n->hash == hash && n->kind == kind && n->width == width &&
+        n->constant == constant && n->var_id == var_id && n->aux0 == aux0 &&
+        n->aux1 == aux1 && n->ops[0] == a && n->ops[1] == b &&
+        n->ops[2] == c) {
+      ++intern_hits_;
+      return n;
     }
+    slot = (slot + 1) & mask;
   }
 
   size_t index = num_nodes_;
@@ -116,10 +113,8 @@ ExprRef Context::intern(Kind kind, unsigned width, uint64_t constant,
   node->ops[0] = a;
   node->ops[1] = b;
   node->ops[2] = c;
-  if (intern_) {
-    table_[slot] = node->id;
-    ++table_used_;
-  }
+  table_[slot] = node->id;
+  ++table_used_;
   return node;
 }
 

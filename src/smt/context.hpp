@@ -1,5 +1,5 @@
-// Expression context: owns all Expr nodes in a chunked arena and, by
-// default, hash-conses them — structurally-equal nodes are pointer-equal at
+// Expression context: owns all Expr nodes in a chunked arena and
+// hash-conses them — structurally-equal nodes are pointer-equal at
 // construction, so every downstream pass (NodeMarker traversals, slicing,
 // query-cache keys) scales with the number of *distinct* subterms. Builders
 // perform constant folding and local peephole simplification, so
@@ -7,18 +7,12 @@
 // "encode" step optimisations the paper's BINSEC baseline is credited with,
 // and is shared by all engines here.
 //
-// Interning can be disabled (`Context(/*intern_exprs=*/false)`, surfaced as
-// `explore --no-intern`): the legacy allocator hands out a fresh node per
-// builder call (variables stay deduplicated by name, as in SMT-LIB) and is
-// kept purely as the reference world for the differential test harness.
-//
 // Every node carries a 64-bit structural content hash, computed at
-// construction in both modes from (kind, width, aux payload, constant,
-// child hashes) — with kVar hashing the variable *name*, not its
-// per-context id. The hash is therefore stable across contexts and across
-// the intern toggle, which is what makes it usable as a query-cache key
-// today and as the address of a persistent content-addressed cache later
-// (ROADMAP item 4). Within one context it doubles as the intern-table
+// construction from (kind, width, aux payload, constant, child hashes) —
+// with kVar hashing the variable *name*, not its per-context id. The hash
+// is therefore stable across contexts, which is what makes it usable as a
+// query-cache key and as the address of the persistent content-addressed
+// store (smt/store.hpp). Within one context it doubles as the intern-table
 // probe hash. See docs/SMT.md.
 #pragma once
 
@@ -39,7 +33,7 @@ struct VarInfo {
 
 class Context {
  public:
-  explicit Context(bool intern_exprs = true) : intern_(intern_exprs) {}
+  Context() = default;
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
 
@@ -50,23 +44,19 @@ class Context {
   ExprRef bool_const(bool value) { return constant(value ? 1 : 0, 1); }
 
   /// Named free variable. Calling twice with the same name returns the same
-  /// node (the name is the identity, as in SMT-LIB) — in both intern modes.
+  /// node (the name is the identity, as in SMT-LIB).
   ExprRef var(const std::string& name, unsigned width);
 
   /// Fresh variable with a unique generated name built from `prefix`.
   ExprRef fresh_var(const std::string& prefix, unsigned width);
 
   /// The node for an already-declared variable, or nullptr if the name is
-  /// unknown (the SMT-LIB parser's symbol lookup).
+  /// unknown (the persistent store's model lookup).
   ExprRef lookup_var(const std::string& name) const;
 
   const VarInfo& var_info(uint32_t var_id) const { return vars_[var_id]; }
   size_t num_vars() const { return vars_.size(); }
   size_t num_nodes() const { return num_nodes_; }
-
-  /// Whether this context hash-conses (true) or uses the legacy
-  /// fresh-node-per-call allocator (false).
-  bool interning() const { return intern_; }
 
   /// Builder calls answered from the intern table instead of allocating.
   uint64_t intern_hits() const { return intern_hits_; }
@@ -141,7 +131,6 @@ class Context {
 
   void grow_table();
 
-  const bool intern_;
   std::vector<std::unique_ptr<Expr[]>> blocks_;
   size_t num_nodes_ = 0;
   // Open-addressing intern table of node ids (0 = empty slot), probed by
@@ -152,7 +141,7 @@ class Context {
   size_t table_used_ = 0;
   uint64_t intern_hits_ = 0;
   std::vector<VarInfo> vars_;
-  std::vector<ExprRef> var_nodes_;  // one node per name, in both modes
+  std::vector<ExprRef> var_nodes_;  // one node per name
   std::unordered_map<std::string, uint32_t> var_by_name_;
   uint64_t fresh_counter_ = 0;
 };

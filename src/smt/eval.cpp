@@ -47,11 +47,10 @@ uint64_t apply(ExprRef node, const uint64_t* op) {
   return 0;
 }
 
-// The memo keys on the structural content hash: in an interning context it
-// is equivalent to keying on the node id (one node per structure), while in
-// the legacy allocator it shares work across structural clones — two nodes
-// with equal hashes are structurally equal and thus evaluate identically
-// under any fixed assignment.
+// The memo keys on the structural content hash, which the interning context
+// makes equivalent to keying on the node id (one node per structure): two
+// nodes with equal hashes are structurally equal and thus evaluate
+// identically under any fixed assignment.
 void evaluate_into(ExprRef root, const Assignment& assignment,
                    std::unordered_map<uint64_t, uint64_t>& memo) {
   postorder(root, [&](ExprRef node) {

@@ -38,9 +38,9 @@ bool satisfies(std::span<const ExprRef> assertions, const Assignment& model);
 
 /// Evaluator with a persistent memo table, for callers that evaluate many
 /// roots over one fixed assignment (e.g. a whole path condition). The memo
-/// keys on the arena's structural content hash, so structural clones from a
-/// non-interning context share entries; distinct structures never alias
-/// (equal hashes imply equal structure, pinned by test_smt_property.cpp).
+/// keys on the arena's structural content hash; distinct structures never
+/// alias (equal hashes imply equal structure, pinned by
+/// test_smt_property.cpp).
 class CachingEvaluator {
  public:
   explicit CachingEvaluator(const Assignment& assignment)

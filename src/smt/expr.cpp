@@ -105,20 +105,4 @@ void collect_vars_into(ExprRef root, NodeMarker& marker,
   });
 }
 
-bool structurally_equal(ExprRef a, ExprRef b) {
-  std::vector<std::pair<ExprRef, ExprRef>> stack{{a, b}};
-  while (!stack.empty()) {
-    auto [x, y] = stack.back();
-    stack.pop_back();
-    if (x == y) continue;  // shared sub-DAG (or both null)
-    if (x->kind != y->kind || x->width != y->width ||
-        x->num_ops != y->num_ops || x->constant != y->constant ||
-        x->var_id != y->var_id || x->aux0 != y->aux0 || x->aux1 != y->aux1)
-      return false;
-    for (unsigned i = 0; i < x->num_ops; ++i)
-      stack.emplace_back(x->ops[i], y->ops[i]);
-  }
-  return true;
-}
-
 }  // namespace binsym::smt

@@ -154,10 +154,4 @@ inline std::vector<uint32_t> collect_vars(const std::vector<ExprRef>& roots) {
 void collect_vars_into(ExprRef root, NodeMarker& marker,
                        std::vector<uint32_t>& out);
 
-/// Deep structural comparison, independent of interning. kVar compares by
-/// var_id, so the result is only meaningful for nodes of the same Context
-/// (an interning Context guarantees `a == b` instead; this exists for the
-/// legacy-allocator differential harness).
-bool structurally_equal(ExprRef a, ExprRef b);
-
 }  // namespace binsym::smt

@@ -18,9 +18,7 @@ ExprRef simplify(Context& ctx, ExprRef root);
 
 /// Simplify with a caller-provided memo table so that repeated calls over
 /// overlapping DAGs (e.g. a whole path condition) share work. The memo keys
-/// on the dense arena id (source node -> simplified node within `ctx`), so
-/// it is sound in both intern modes: ids are unique per node, and with the
-/// legacy allocator structural clones simply occupy separate entries.
+/// on the dense arena id (source node -> simplified node within `ctx`).
 ExprRef simplify(Context& ctx, ExprRef root,
                  std::unordered_map<uint32_t, ExprRef>& memo);
 

@@ -157,360 +157,4 @@ std::string query_string(const Context& ctx,
   return os.str();
 }
 
-// -- Parsing (the printer's grammar, inverted). ------------------------------
-
-namespace {
-
-/// Recursive-descent parser over exactly the subset print_query/to_smtlib
-/// emit. `let` is treated as sequential binding, which coincides with
-/// SMT-LIB's parallel semantics for the printer's output (every binding
-/// gets a fresh generated name).
-class Parser {
- public:
-  Parser(Context& ctx, const std::string& text) : ctx_(ctx), text_(text) {}
-
-  ExprRef parse_expr() {
-    ExprRef e = expr();
-    if (e && !at_end()) {
-      fail("trailing input after expression");
-      return nullptr;
-    }
-    return e;
-  }
-
-  bool parse_query(std::vector<ExprRef>* assertions) {
-    while (!at_end()) {
-      if (!consume('(')) return fail("expected a command");
-      std::string cmd = symbol();
-      if (cmd == "set-logic") {
-        symbol();
-      } else if (cmd == "set-option") {
-        symbol();  // option keyword, e.g. :produce-models
-        symbol();  // value
-      } else if (cmd == "check-sat") {
-        // no operands
-      } else if (cmd == "declare-const") {
-        std::string name = symbol();
-        if (name.empty()) return fail("declare-const: missing name");
-        if (!consume('(')) return fail("declare-const: expected sort");
-        if (symbol() != "_" || symbol() != "BitVec")
-          return fail("declare-const: only (_ BitVec w) sorts are supported");
-        unsigned width = 0;
-        if (!number(&width) || width < 1 || width > 64)
-          return fail("declare-const: bad width");
-        if (!consume(')')) return fail("declare-const: unbalanced sort");
-        ctx_.var(name, width);
-      } else if (cmd == "assert") {
-        ExprRef e = expr();
-        if (!e) return false;
-        if (e->width != 1) return fail("assert: expected a Bool (width 1)");
-        assertions->push_back(e);
-      } else {
-        return fail("unsupported command: " + cmd);
-      }
-      if (!consume(')')) return fail("unbalanced command");
-    }
-    return true;
-  }
-
-  const std::string& error() const { return err_; }
-
- private:
-  bool fail(const std::string& message) {
-    if (err_.empty()) err_ = message;
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (c == ';') {
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-      } else if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool consume(char c) {
-    if (!peek(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  /// Next symbol or literal token (empty at a paren or end of input).
-  std::string symbol() {
-    skip_ws();
-    size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '(' && text_[pos_] != ')' &&
-           text_[pos_] != ' ' && text_[pos_] != '\t' && text_[pos_] != '\n' &&
-           text_[pos_] != '\r' && text_[pos_] != ';')
-      ++pos_;
-    return text_.substr(start, pos_ - start);
-  }
-
-  bool number(unsigned* out) {
-    std::string tok = symbol();
-    if (tok.empty()) return false;
-    unsigned value = 0;
-    for (char c : tok) {
-      if (c < '0' || c > '9') return false;
-      value = value * 10 + static_cast<unsigned>(c - '0');
-      if (value > 1000000) return false;
-    }
-    *out = value;
-    return true;
-  }
-
-  ExprRef literal(const std::string& tok) {
-    uint64_t value = 0;
-    unsigned width = 0;
-    if (tok.size() > 2 && tok[1] == 'b') {
-      width = static_cast<unsigned>(tok.size() - 2);
-      for (size_t i = 2; i < tok.size(); ++i) {
-        if (tok[i] != '0' && tok[i] != '1') {
-          fail("bad binary literal: " + tok);
-          return nullptr;
-        }
-        value = (value << 1) | static_cast<uint64_t>(tok[i] - '0');
-      }
-    } else if (tok.size() > 2 && tok[1] == 'x') {
-      width = static_cast<unsigned>(4 * (tok.size() - 2));
-      for (size_t i = 2; i < tok.size(); ++i) {
-        char c = tok[i];
-        unsigned digit;
-        if (c >= '0' && c <= '9') digit = static_cast<unsigned>(c - '0');
-        else if (c >= 'a' && c <= 'f') digit = static_cast<unsigned>(c - 'a') + 10;
-        else if (c >= 'A' && c <= 'F') digit = static_cast<unsigned>(c - 'A') + 10;
-        else {
-          fail("bad hex literal: " + tok);
-          return nullptr;
-        }
-        value = (value << 4) | digit;
-      }
-    } else {
-      fail("bad literal: " + tok);
-      return nullptr;
-    }
-    if (width < 1 || width > 64) {
-      fail("literal width out of range: " + tok);
-      return nullptr;
-    }
-    return ctx_.constant(value, width);
-  }
-
-  ExprRef indexed() {
-    // Inside "((_": the indexed-operator head, then the single operand.
-    std::string op = symbol();
-    unsigned n0 = 0, n1 = 0;
-    if (op == "extract") {
-      if (!number(&n0) || !number(&n1) || n0 < n1) {
-        fail("extract: bad indices");
-        return nullptr;
-      }
-    } else if (op == "zero_extend" || op == "sign_extend") {
-      if (!number(&n0)) {
-        fail(op + ": bad index");
-        return nullptr;
-      }
-    } else {
-      fail("unsupported indexed operator: " + op);
-      return nullptr;
-    }
-    if (!consume(')')) {
-      fail("unbalanced indexed operator");
-      return nullptr;
-    }
-    ExprRef a = expr();
-    if (!a) return nullptr;
-    if (!consume(')')) {
-      fail("unbalanced application");
-      return nullptr;
-    }
-    if (op == "extract") {
-      if (n0 >= a->width) {
-        fail("extract: index exceeds operand width");
-        return nullptr;
-      }
-      return ctx_.extract(a, n0, n1);
-    }
-    if (a->width + n0 > 64) {
-      fail(op + ": result width out of range");
-      return nullptr;
-    }
-    return op == "zero_extend" ? ctx_.zext(a, a->width + n0)
-                               : ctx_.sext(a, a->width + n0);
-  }
-
-  ExprRef let_form() {
-    if (!consume('(')) {
-      fail("let: expected bindings");
-      return nullptr;
-    }
-    std::vector<std::pair<std::string, ExprRef>> shadowed;
-    while (consume('(')) {
-      std::string name = symbol();
-      if (name.empty()) {
-        fail("let: missing binding name");
-        return nullptr;
-      }
-      ExprRef def = expr();
-      if (!def) return nullptr;
-      if (!consume(')')) {
-        fail("let: unbalanced binding");
-        return nullptr;
-      }
-      auto it = env_.find(name);
-      shadowed.emplace_back(name, it == env_.end() ? nullptr : it->second);
-      env_[name] = def;
-    }
-    ExprRef body = nullptr;
-    if (!consume(')')) {
-      fail("let: unbalanced binding list");
-    } else if ((body = expr()) && !consume(')')) {
-      fail("let: unbalanced body");
-      body = nullptr;
-    }
-    for (auto it = shadowed.rbegin(); it != shadowed.rend(); ++it) {
-      if (it->second)
-        env_[it->first] = it->second;
-      else
-        env_.erase(it->first);
-    }
-    return body;
-  }
-
-  ExprRef application(const std::string& op) {
-    std::vector<ExprRef> args;
-    while (!peek(')')) {
-      if (at_end()) {
-        fail("unbalanced application: " + op);
-        return nullptr;
-      }
-      ExprRef arg = expr();
-      if (!arg) return nullptr;
-      args.push_back(arg);
-    }
-    ++pos_;  // ')'
-    auto want = [&](size_t n) {
-      if (args.size() == n) return true;
-      fail(op + ": expected " + std::to_string(n) + " operands");
-      return false;
-    };
-    auto bin_widths = [&] {
-      if (args[0]->width == args[1]->width) return true;
-      fail(op + ": operand widths differ");
-      return false;
-    };
-    if (op == "bvnot") return want(1) ? ctx_.not_(args[0]) : nullptr;
-    if (op == "bvneg") return want(1) ? ctx_.neg(args[0]) : nullptr;
-    if (op == "ite") {
-      if (!want(3)) return nullptr;
-      if (args[0]->width != 1 || args[1]->width != args[2]->width) {
-        fail("ite: bad operand widths");
-        return nullptr;
-      }
-      return ctx_.ite(args[0], args[1], args[2]);
-    }
-    if (op == "concat") {
-      if (!want(2)) return nullptr;
-      if (args[0]->width + args[1]->width > 64) {
-        fail("concat: result width out of range");
-        return nullptr;
-      }
-      return ctx_.concat(args[0], args[1]);
-    }
-    if (!want(2) || !bin_widths()) return nullptr;
-    if (op == "bvadd")  return ctx_.add(args[0], args[1]);
-    if (op == "bvsub")  return ctx_.sub(args[0], args[1]);
-    if (op == "bvmul")  return ctx_.mul(args[0], args[1]);
-    if (op == "bvudiv") return ctx_.udiv(args[0], args[1]);
-    if (op == "bvurem") return ctx_.urem(args[0], args[1]);
-    if (op == "bvsdiv") return ctx_.sdiv(args[0], args[1]);
-    if (op == "bvsrem") return ctx_.srem(args[0], args[1]);
-    if (op == "bvand")  return ctx_.and_(args[0], args[1]);
-    if (op == "bvor")   return ctx_.or_(args[0], args[1]);
-    if (op == "bvxor")  return ctx_.xor_(args[0], args[1]);
-    if (op == "bvshl")  return ctx_.shl(args[0], args[1]);
-    if (op == "bvlshr") return ctx_.lshr(args[0], args[1]);
-    if (op == "bvashr") return ctx_.ashr(args[0], args[1]);
-    if (op == "=")      return ctx_.eq(args[0], args[1]);
-    if (op == "bvult")  return ctx_.ult(args[0], args[1]);
-    if (op == "bvule")  return ctx_.ule(args[0], args[1]);
-    if (op == "bvslt")  return ctx_.slt(args[0], args[1]);
-    if (op == "bvsle")  return ctx_.sle(args[0], args[1]);
-    fail("unsupported operator: " + op);
-    return nullptr;
-  }
-
-  ExprRef expr() {
-    if (at_end()) {
-      fail("unexpected end of input");
-      return nullptr;
-    }
-    if (!consume('(')) {
-      std::string tok = symbol();
-      if (tok.empty()) {
-        fail("expected an expression");
-        return nullptr;
-      }
-      if (tok[0] == '#') return literal(tok);
-      if (auto it = env_.find(tok); it != env_.end()) return it->second;
-      if (ExprRef v = ctx_.lookup_var(tok)) return v;
-      fail("unknown symbol: " + tok);
-      return nullptr;
-    }
-    if (consume('(')) {
-      if (symbol() != "_") {
-        fail("expected an indexed operator");
-        return nullptr;
-      }
-      return indexed();
-    }
-    std::string op = symbol();
-    if (op.empty()) {
-      fail("expected an operator");
-      return nullptr;
-    }
-    if (op == "let") return let_form();
-    return application(op);
-  }
-
-  Context& ctx_;
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string err_;
-  std::unordered_map<std::string, ExprRef> env_;
-};
-
-}  // namespace
-
-ExprRef parse_smtlib(Context& ctx, const std::string& text,
-                     std::string* error) {
-  Parser parser(ctx, text);
-  ExprRef result = parser.parse_expr();
-  if (!result && error) *error = parser.error();
-  return result;
-}
-
-bool parse_query(Context& ctx, const std::string& text,
-                 std::vector<ExprRef>* assertions, std::string* error) {
-  Parser parser(ctx, text);
-  bool ok = parser.parse_query(assertions);
-  if (!ok && error) *error = parser.error();
-  return ok;
-}
-
 }  // namespace binsym::smt

@@ -4,8 +4,9 @@
 // declarations for every free variable, one `assert` per path constraint and
 // a final `check-sat`. Shared sub-DAGs are emitted once through `let`
 // bindings so the printed query size reflects the DAG size, not the tree
-// size. Mostly used for debugging, golden tests and the query-complexity
-// ablation, but also accepted by any SMT-LIB compliant solver.
+// size. Used for `--smtlib-dump`, the findings' query files, debugging and
+// golden tests; tests hand the output to Z3's own parser as the
+// independent reader.
 #pragma once
 
 #include <ostream>
@@ -28,24 +29,5 @@ void print_query(std::ostream& os, const Context& ctx,
 std::string query_string(const Context& ctx,
                          const std::vector<ExprRef>& assertions,
                          bool with_check_sat = true);
-
-/// Parse the expression subset the printer emits — `let` bindings, indexed
-/// extract/extensions, the Bool/BitVec-1 coercions, #b/#x literals and bare
-/// symbols — rebuilding through `ctx`'s folding builders (so parsing a
-/// printed expression back into its interning context returns the original
-/// node: the round-trip property pinned by test_smtlib.cpp). Free variables
-/// must already be declared in `ctx`; use parse_query for self-contained
-/// text. Returns nullptr on a syntax error or unknown symbol, with a
-/// diagnostic in *error when given.
-ExprRef parse_smtlib(Context& ctx, const std::string& text,
-                     std::string* error = nullptr);
-
-/// Parse a complete printed query: `declare-const` lines declare variables
-/// in `ctx`, each `assert` contributes one expression to *assertions
-/// (`set-logic`, `set-option` and `check-sat` are accepted and ignored).
-/// Returns false on error.
-bool parse_query(Context& ctx, const std::string& text,
-                 std::vector<ExprRef>* assertions,
-                 std::string* error = nullptr);
 
 }  // namespace binsym::smt

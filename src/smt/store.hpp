@@ -1,12 +1,11 @@
 // Persistent content-addressed query/model store.
 //
 // The QueryCache (cache.hpp) keys a query by the sorted content hashes of
-// its assertions — stable across contexts, across the intern toggle and
-// across process restarts. That makes the cache's keyspace durable: this
-// store maps the same keys to {verdict, model, winning backend, solve time}
-// in a single file, so a second exploration of the same target starts with
-// every previously solved query already answered (ROADMAP item 4's
-// persistent cache).
+// its assertions — stable across contexts and across process restarts.
+// That makes the cache's keyspace durable: this store maps the same keys to
+// {verdict, model, winning backend, solve time} in a single file, so a
+// second exploration of the same target starts with every previously solved
+// query already answered.
 //
 // Models are persisted *by variable name*, not var_id: ids are dense
 // per-context indices and mean nothing in the next process, while names are

@@ -107,7 +107,7 @@ constexpr uint64_t urem_bv(uint64_t a, uint64_t b, unsigned width) {
 constexpr uint64_t sdiv_bv(uint64_t a, uint64_t b, unsigned width) {
   int64_t sa = to_signed(a, width), sb = to_signed(b, width);
   if (sb == 0) return sa < 0 ? 1 : mask_bits(width);
-  int64_t int_min = -(int64_t{1} << (width - 1));
+  int64_t int_min = to_signed(uint64_t{1} << (width - 1), width);
   if (sa == int_min && sb == -1) return truncate(static_cast<uint64_t>(sa), width);
   return truncate(static_cast<uint64_t>(sa / sb), width);
 }
@@ -117,7 +117,7 @@ constexpr uint64_t sdiv_bv(uint64_t a, uint64_t b, unsigned width) {
 constexpr uint64_t srem_bv(uint64_t a, uint64_t b, unsigned width) {
   int64_t sa = to_signed(a, width), sb = to_signed(b, width);
   if (sb == 0) return truncate(a, width);
-  int64_t int_min = -(int64_t{1} << (width - 1));
+  int64_t int_min = to_signed(uint64_t{1} << (width - 1), width);
   if (sa == int_min && sb == -1) return 0;
   return truncate(static_cast<uint64_t>(sa % sb), width);
 }

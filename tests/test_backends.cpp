@@ -1,10 +1,9 @@
-// Solver backends, the SMT-LIB pipe backend and the persistent query/model
-// store.
+// Solver backends and the persistent query/model store.
 //
 // Two layers of pinning:
 //   * a cross-backend differential harness: randomized queries and the
-//     SMT-LIB dumps of a Table I workload run through {z3, bitblast,
-//     pipe(smtcheck)} and must agree on every verdict, with every sat model
+//     questions a Table I exploration asks its solver run through
+//     {z3, bitblast} and must agree on every verdict, with every sat model
 //     validated by concrete evaluation;
 //   * the persistent store: byte-exact round trips, corruption / truncation /
 //     version-skew all degrade to a diagnosed cold start, kUnknown is never
@@ -33,8 +32,6 @@
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
-#include "smt/pipe.hpp"
-#include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
 #include "spec/registry.hpp"
@@ -58,34 +55,13 @@ std::string fresh_dir(const std::string& tag) {
 
 // -- Cross-backend differential harness. --------------------------------------
 
-/// Directory of the running test binary (the build tree), where the in-tree
-/// `smtcheck` SMT-LIB CLI lives.
-std::string build_dir() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return {};
-  buf[n] = '\0';
-  const std::string path(buf);
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash);
-}
-
-std::string smtcheck_command() {
-  const std::string candidate = build_dir() + "/smtcheck";
-  return fs::exists(candidate) ? candidate : std::string();
-}
-
-/// The full backend matrix over one context: both in-tree backends and the
-/// pipe driving the in-tree SMT-LIB CLI (when built). Every member of the
-/// matrix must agree on every verdict.
+/// The full backend matrix over one context. Every member of the matrix
+/// must agree on every verdict.
 std::vector<std::pair<std::string, std::unique_ptr<Solver>>> backend_matrix(
     Context& ctx) {
   std::vector<std::pair<std::string, std::unique_ptr<Solver>>> matrix;
   matrix.emplace_back("z3", make_z3_solver(ctx));
   matrix.emplace_back("bitblast", make_bitblast_solver(ctx));
-  const std::string pipe_cmd = smtcheck_command();
-  if (!pipe_cmd.empty())
-    matrix.emplace_back("pipe", make_pipe_solver(ctx, pipe_cmd));
   return matrix;
 }
 
@@ -194,77 +170,6 @@ TEST_P(BackendDifferential, RandomizedQueriesAgreeAcrossAllBackends) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferential,
                          ::testing::Range<uint64_t>(1, 9));
 
-// -- Pipe backend failure modes. ----------------------------------------------
-
-/// A query whose SMT-LIB text comfortably exceeds the 64 KiB pipe buffer,
-/// so the writer still has bytes in flight whenever the child dies early.
-std::vector<ExprRef> oversized_query(Context& ctx, const std::string& tag) {
-  std::vector<ExprRef> query;
-  for (int i = 0; i < 4000; ++i) {
-    ExprRef v = ctx.var(tag + std::to_string(i), 32);
-    query.push_back(ctx.eq(v, ctx.constant(static_cast<uint64_t>(i), 32)));
-  }
-  return query;
-}
-
-TEST(PipeSolver, ChildDyingBeforeDrainingStdinIsInertNotFatal) {
-  // Regression: a child that exits without reading its stdin — a crashed
-  // solver, or execvp's _exit(127) for a missing binary — widows the write
-  // pipe mid-query. The write must surface as EPIPE and degrade the check
-  // to kUnknown, not raise SIGPIPE and kill the whole engine process.
-  Context ctx;
-  const std::vector<ExprRef> query = oversized_query(ctx, "widow");
-  auto exits = make_pipe_solver(ctx, "true");  // exits, never reads stdin
-  Assignment model;
-  EXPECT_EQ(exits->check(query, &model), CheckResult::kUnknown);
-  EXPECT_EQ(exits->stats().unknown, 1u);
-
-  auto missing =
-      make_pipe_solver(ctx, "binsym-definitely-not-a-solver-binary");
-  EXPECT_EQ(missing->check(query, &model), CheckResult::kUnknown);
-  // ... and both stay usable for the next check (inert, not fatal).
-  EXPECT_EQ(exits->check(query, nullptr), CheckResult::kUnknown);
-}
-
-/// Write an executable shell script that ignores its stdin and prints the
-/// given response; returns the script path (usable as a pipe command).
-std::string scripted_solver(const std::string& dir,
-                            const std::string& response) {
-  const std::string path = dir + "/fake-solver.sh";
-  {
-    std::ofstream out(path);
-    out << "#!/bin/sh\ncat >/dev/null\nprintf '%s\\n' '" << response << "'\n";
-  }
-  fs::permissions(path, fs::perms::owner_all);
-  return path;
-}
-
-TEST(PipeSolver, DuplicateModelBindingCannotMaskAMissingVariable) {
-  // Regression: a solver that binds x twice while omitting y must degrade
-  // to kUnknown — counting (name value) pairs would accept the incomplete
-  // model, and y would silently read as zero downstream.
-  const std::string dir = fresh_dir("dup-binding");
-  Context ctx;
-  ExprRef x = ctx.var("x", 8);
-  ExprRef y = ctx.var("y", 8);
-  const std::vector<ExprRef> query{ctx.eq(x, ctx.constant(1, 8)),
-                                   ctx.eq(y, ctx.constant(2, 8))};
-
-  auto duplicated = make_pipe_solver(
-      ctx, scripted_solver(dir, "sat\n((x (_ bv1 8)) (x (_ bv2 8)))"));
-  Assignment model;
-  EXPECT_EQ(duplicated->check(query, &model), CheckResult::kUnknown);
-
-  // Control: the same script shape with both variables bound is a real
-  // model and sails through.
-  auto complete = make_pipe_solver(
-      ctx, scripted_solver(dir, "sat\n((x (_ bv1 8)) (y (_ bv2 8)))"));
-  Assignment good;
-  ASSERT_EQ(complete->check(query, &good), CheckResult::kSat);
-  EXPECT_EQ(good.get(x->var_id), 1u);
-  EXPECT_EQ(good.get(y->var_id), 2u);
-}
-
 }  // namespace
 }  // namespace binsym::smt
 
@@ -357,38 +262,59 @@ skip3:
 buf: .space 3
 )";
 
+/// Records every question the engine asks its solver — stateless checks
+/// and, for check_assuming, the live scoped assertions plus the
+/// assumptions — and forwards it unchanged.
+class RecordingSolver final : public smt::ForwardingSolver {
+ public:
+  RecordingSolver(std::unique_ptr<smt::Solver> inner,
+                  std::vector<std::vector<smt::ExprRef>>* questions)
+      : ForwardingSolver(std::move(inner)), questions_(questions) {}
+
+  smt::CheckResult check(std::span<const smt::ExprRef> assertions,
+                         smt::Assignment* model) override {
+    questions_->emplace_back(assertions.begin(), assertions.end());
+    return inner_->check(assertions, model);
+  }
+  smt::CheckResult check_assuming(std::span<const smt::ExprRef> assumptions,
+                                  smt::Assignment* model) override {
+    std::vector<smt::ExprRef> question(scoped_assertions().begin(),
+                                       scoped_assertions().end());
+    question.insert(question.end(), assumptions.begin(), assumptions.end());
+    questions_->push_back(std::move(question));
+    return inner_->check_assuming(assumptions, model);
+  }
+  std::string name() const override { return inner_->name() + "+record"; }
+
+ private:
+  std::vector<std::vector<smt::ExprRef>>* questions_;
+};
+
 TEST_F(BackendEngineTest, TableICorpusAgreesAcrossAllBackends) {
-  // Dump the real flip queries of a Table I workload prefix as SMT-LIB
-  // files, then replay every one through the full backend matrix: one
-  // verdict per query, every sat model valid. This is the corpus leg of the
+  // Record the real questions a Table I workload prefix asks its solver,
+  // then replay each one through the full backend matrix: one verdict per
+  // question, every sat model valid. This is the corpus leg of the
   // differential harness — the randomized leg lives above.
-  const std::string dump_dir = smt::fresh_dir("corpus");
   core::Program program = workloads::load_workload(table, "base64-encode");
+  smt::Context ctx;
+  core::BinSymExecutor executor(ctx, decoder, registry, program,
+                                core::MachineConfig{});
+  std::vector<std::vector<smt::ExprRef>> questions;
   core::EngineOptions options;
   options.max_paths = 40;
-  options.smtlib_dump_dir = dump_dir;
-  Exploration run = explore(program, options);
-  EXPECT_GT(run.stats.paths, 0u);
+  core::DseEngine engine(
+      executor,
+      std::make_unique<RecordingSolver>(smt::make_z3_solver(ctx), &questions),
+      options);
+  EXPECT_GT(engine.explore().paths, 0u);
+  ASSERT_GT(questions.size(), 4u);
+  if (questions.size() > 60) questions.resize(60);  // bound the replay cost
 
-  std::vector<std::string> files;
-  for (const auto& entry : fs::directory_iterator(dump_dir))
-    if (entry.path().extension() == ".smt2") files.push_back(entry.path());
-  std::sort(files.begin(), files.end());
-  ASSERT_GT(files.size(), 4u);
-  if (files.size() > 60) files.resize(60);  // bound the replay cost
-
+  auto matrix = smt::backend_matrix(ctx);
   uint64_t sat = 0, unsat = 0;
-  for (const std::string& file : files) {
-    std::ifstream in(file);
-    std::ostringstream text;
-    text << in.rdbuf();
-    smt::Context ctx;
-    std::vector<smt::ExprRef> assertions;
-    std::string error;
-    ASSERT_TRUE(smt::parse_query(ctx, text.str(), &assertions, &error))
-        << file << ": " << error;
-    auto matrix = smt::backend_matrix(ctx);
-    switch (smt::check_all_backends_agree(assertions, matrix, file)) {
+  for (size_t i = 0; i < questions.size(); ++i) {
+    switch (smt::check_all_backends_agree(questions[i], matrix,
+                                          "question " + std::to_string(i))) {
       case smt::CheckResult::kSat: ++sat; break;
       case smt::CheckResult::kUnsat: ++unsat; break;
       case smt::CheckResult::kUnknown: break;

@@ -1,20 +1,20 @@
 // Differential tests for the hash-cons expression arena (smt/context.hpp).
 //
-// Two worlds, one random build stream: an interning Context and a legacy
-// (fresh-node-per-call) Context driven in lockstep by the same RNG draws.
-// The arena may only change representation, never meaning:
-//   * widths and concrete evaluation agree at every build step,
-//   * structural equality is pointer equality on the interning side,
+// Two worlds, one random build stream: a plain interning Context and one
+// whose variable ids and intern-table slots are shifted by padding
+// declarations, driven in lockstep by the same RNG draws. Interning may
+// only change representation, never meaning:
+//   * widths and concrete evaluation agree at every build step, and every
+//     step's node evaluates like the same builder calls made over its
+//     operands' values in a fresh context (no intern history), so a false
+//     intern hit fails the sweep,
+//   * structural equality is pointer equality,
 //   * re-interning both worlds into a fresh arena converges to the same
-//     node (builder folds re-fire bottom-up), simplify fixpoints included,
-//   * SMT-LIB output parses back to the same node modulo let-sharing,
-//   * the legacy allocator provably allocates more nodes than the arena.
-// Plus the engine-level bar: across {intern on, off} x {dfs, coverage} x
-// jobs {1, 4}, explored path sets and reported finding triples must be
-// bit-identical on the Table I and buggy-corpus workloads.
+//     node (builder folds re-fire bottom-up), simplify fixpoints included.
+// Plus the engine-level stats plumbing of the arena counters.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -22,30 +22,25 @@
 
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
-#include "core/finding.hpp"
 #include "core/stats.hpp"
 #include "elf/elf32.hpp"
 #include "isa/decoder.hpp"
-#include "oracles/manager.hpp"
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
 #include "smt/simplify.hpp"
-#include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
 #include "support/bits.hpp"
 #include "support/rng.hpp"
-#include "workloads/workloads.hpp"
 
 namespace binsym::smt {
 namespace {
 
 /// Rebuild expressions from `src` inside `dst` through dst's folding
-/// builders, bottom-up. In an interning `dst` this is the canonicalizer the
-/// differential tests compare through: structurally equal inputs (from
-/// either mode) land on the same node, and pointer-equality folds that the
-/// legacy allocator could not fire get a second chance.
+/// builders, bottom-up. This is the canonicalizer the differential tests
+/// compare through: structurally equal inputs (from either world) land on
+/// the same node.
 class Reintern {
  public:
   Reintern(const Context& src, Context& dst) : src_(src), dst_(dst) {}
@@ -99,16 +94,56 @@ class Reintern {
   std::unordered_map<ExprRef, ExprRef> map_;
 };
 
+using Operands = std::vector<ExprRef>;
+
+/// One random build step with every RNG draw already made: indices of its
+/// operands in the generator's pool and the builder calls to apply to
+/// them, so the step can be replayed over any operands in any context.
+struct Step {
+  std::vector<size_t> operands;
+  std::function<ExprRef(Context&, const Operands&)> build;
+};
+
+/// Fit `e` to `width`: zero- or sign-extend a narrower node, keep the low
+/// bits of a wider one.
+ExprRef adapt(Context& ctx, ExprRef e, unsigned width, bool zero) {
+  if (e->width == width) return e;
+  if (e->width < width) return zero ? ctx.zext(e, width) : ctx.sext(e, width);
+  return ctx.extract(e, width - 1, 0);
+}
+
+ExprRef apply(Context& ctx, Kind kind, ExprRef x, ExprRef y) {
+  switch (kind) {
+    case Kind::kAdd: return ctx.add(x, y);
+    case Kind::kSub: return ctx.sub(x, y);
+    case Kind::kMul: return ctx.mul(x, y);
+    case Kind::kUDiv: return ctx.udiv(x, y);
+    case Kind::kURem: return ctx.urem(x, y);
+    case Kind::kSDiv: return ctx.sdiv(x, y);
+    case Kind::kSRem: return ctx.srem(x, y);
+    case Kind::kAnd: return ctx.and_(x, y);
+    case Kind::kOr: return ctx.or_(x, y);
+    case Kind::kXor: return ctx.xor_(x, y);
+    case Kind::kShl: return ctx.shl(x, y);
+    case Kind::kLShr: return ctx.lshr(x, y);
+    case Kind::kAShr: return ctx.ashr(x, y);
+    case Kind::kEq: return ctx.eq(x, y);
+    case Kind::kUlt: return ctx.ult(x, y);
+    case Kind::kUle: return ctx.ule(x, y);
+    case Kind::kSlt: return ctx.slt(x, y);
+    default: return ctx.sle(x, y);
+  }
+}
+
 /// DagGen's op mix (test_smt_property.cpp), mirrored onto two contexts:
 /// every RNG draw is made once and applied to both pools, so step i builds
-/// the *same* term in both worlds. The interning pool entry may be a
-/// pointer-folded form of the legacy one (eq(a, a) folds only when the
-/// operands are pointer-equal), which is exactly the divergence the
-/// differential assertions are designed around.
+/// the *same* term in both worlds. One step in eight repeats an earlier
+/// step with one operand swapped for another of the same width: the
+/// builder call a false intern hit would answer with the earlier node.
 class DualGen {
  public:
-  DualGen(Context& interned, Context& legacy, Rng& rng, unsigned num_vars)
-      : a_(interned), b_(legacy), rng_(rng) {
+  DualGen(Context& a, Context& b, Rng& rng, unsigned num_vars)
+      : a_(a), b_(b), rng_(rng) {
     for (unsigned i = 0; i < num_vars; ++i) {
       unsigned width = pick_width();
       std::string name = "v" + std::to_string(i);
@@ -119,10 +154,17 @@ class DualGen {
     push(a_.constant(value, width), b_.constant(value, width));
   }
 
-  std::pair<ExprRef, ExprRef> step() {
-    std::pair<ExprRef, ExprRef> pair = random_pair();
-    push(pair.first, pair.second);
-    return pair;
+  /// Build one random step in both worlds; returns the step's recipe.
+  Step step() {
+    Step s = history_.empty() || rng_.below(8) ? random_step() : near_repeat();
+    Operands xs, ys;
+    for (size_t i : s.operands) {
+      xs.push_back(pool_[i].first);
+      ys.push_back(pool_[i].second);
+    }
+    push(s.build(a_, xs), s.build(b_, ys));
+    history_.push_back(s);
+    return s;
   }
 
   const std::vector<std::pair<ExprRef, ExprRef>>& pool() const {
@@ -142,81 +184,57 @@ class DualGen {
     return widths[rng_.below(5)];
   }
 
-  std::pair<ExprRef, ExprRef> pick() {
-    return pool_[rng_.below(pool_.size())];
-  }
+  size_t pick() { return static_cast<size_t>(rng_.below(pool_.size())); }
+  unsigned width_of(size_t i) const { return pool_[i].first->width; }
 
-  std::pair<ExprRef, ExprRef> pick_adapted(unsigned width) {
-    auto [pa, pb] = pick();
-    if (pa->width == width) return {pa, pb};
-    if (pa->width < width) {
-      bool zero = rng_.flip();
-      return {zero ? a_.zext(pa, width) : a_.sext(pa, width),
-              zero ? b_.zext(pb, width) : b_.sext(pb, width)};
-    }
-    return {a_.extract(pa, width - 1, 0), b_.extract(pb, width - 1, 0)};
-  }
-
-  static ExprRef apply(Context& ctx, Kind kind, ExprRef x, ExprRef y) {
-    switch (kind) {
-      case Kind::kAdd: return ctx.add(x, y);
-      case Kind::kSub: return ctx.sub(x, y);
-      case Kind::kMul: return ctx.mul(x, y);
-      case Kind::kUDiv: return ctx.udiv(x, y);
-      case Kind::kURem: return ctx.urem(x, y);
-      case Kind::kSDiv: return ctx.sdiv(x, y);
-      case Kind::kSRem: return ctx.srem(x, y);
-      case Kind::kAnd: return ctx.and_(x, y);
-      case Kind::kOr: return ctx.or_(x, y);
-      case Kind::kXor: return ctx.xor_(x, y);
-      case Kind::kShl: return ctx.shl(x, y);
-      case Kind::kLShr: return ctx.lshr(x, y);
-      case Kind::kAShr: return ctx.ashr(x, y);
-      case Kind::kEq: return ctx.eq(x, y);
-      case Kind::kUlt: return ctx.ult(x, y);
-      case Kind::kUle: return ctx.ule(x, y);
-      case Kind::kSlt: return ctx.slt(x, y);
-      default: return ctx.sle(x, y);
-    }
-  }
-
-  std::pair<ExprRef, ExprRef> random_pair() {
+  Step random_step() {
     switch (rng_.below(8)) {
       case 0: {  // unary
-        auto [pa, pb] = pick();
         bool use_not = rng_.flip();
-        return {use_not ? a_.not_(pa) : a_.neg(pa),
-                use_not ? b_.not_(pb) : b_.neg(pb)};
+        return {{pick()}, [use_not](Context& c, const Operands& o) {
+                  return use_not ? c.not_(o[0]) : c.neg(o[0]);
+                }};
       }
       case 1: {  // extract
-        auto [pa, pb] = pick();
-        unsigned hi = static_cast<unsigned>(rng_.below(pa->width));
+        size_t i = pick();
+        unsigned hi = static_cast<unsigned>(rng_.below(width_of(i)));
         unsigned lo = static_cast<unsigned>(rng_.below(hi + 1));
-        return {a_.extract(pa, hi, lo), b_.extract(pb, hi, lo)};
+        return {{i}, [hi, lo](Context& c, const Operands& o) {
+                  return c.extract(o[0], hi, lo);
+                }};
       }
       case 2: {  // extension
-        auto [pa, pb] = pick();
-        unsigned to =
-            pa->width + static_cast<unsigned>(rng_.below(65 - pa->width));
+        size_t i = pick();
+        unsigned to = width_of(i) +
+                      static_cast<unsigned>(rng_.below(65 - width_of(i)));
         bool zero = rng_.flip();
-        return {zero ? a_.zext(pa, to) : a_.sext(pa, to),
-                zero ? b_.zext(pb, to) : b_.sext(pb, to)};
+        return {{i}, [to, zero](Context& c, const Operands& o) {
+                  return zero ? c.zext(o[0], to) : c.sext(o[0], to);
+                }};
       }
       case 3: {  // ite
-        auto [ca, cb] = pick_adapted(1);
-        auto [ta, tb] = pick();
-        auto [ea, eb] = pick_adapted(ta->width);
-        return {a_.ite(ca, ta, ea), b_.ite(cb, tb, eb)};
+        size_t ci = pick(), ti = pick(), ei = pick();
+        bool cond_zero = rng_.flip(), else_zero = rng_.flip();
+        unsigned width = width_of(ti);
+        return {{ci, ti, ei},
+                [=](Context& c, const Operands& o) {
+                  return c.ite(adapt(c, o[0], 1, cond_zero), o[1],
+                               adapt(c, o[2], width, else_zero));
+                }};
       }
       case 4: {  // concat
-        auto [ha, hb] = pick();
-        auto [la, lb] = pick();
-        if (ha->width + la->width > 64) return {a_.not_(ha), b_.not_(hb)};
-        return {a_.concat(ha, la), b_.concat(hb, lb)};
+        size_t hi = pick(), lo = pick();
+        if (width_of(hi) + width_of(lo) > 64)
+          return {{hi}, [](Context& c, const Operands& o) {
+                    return c.not_(o[0]);
+                  }};
+        return {{hi, lo}, [](Context& c, const Operands& o) {
+                  return c.concat(o[0], o[1]);
+                }};
       }
       default: {  // binary
-        auto [pa, pb] = pick();
-        auto [qa, qb] = pick_adapted(pa->width);
+        size_t i = pick(), j = pick();
+        bool zero = rng_.flip();
         static const Kind kinds[] = {Kind::kAdd, Kind::kSub, Kind::kMul,
                                      Kind::kUDiv, Kind::kURem, Kind::kSDiv,
                                      Kind::kSRem, Kind::kAnd, Kind::kOr,
@@ -224,73 +242,134 @@ class DualGen {
                                      Kind::kAShr, Kind::kEq, Kind::kUlt,
                                      Kind::kUle, Kind::kSlt, Kind::kSle};
         Kind kind = kinds[rng_.below(std::size(kinds))];
-        return {apply(a_, kind, pa, qa), apply(b_, kind, pb, qb)};
+        unsigned width = width_of(i);
+        return {{i, j}, [=](Context& c, const Operands& o) {
+                  return apply(c, kind, o[0], adapt(c, o[1], width, zero));
+                }};
       }
     }
+  }
+
+  Step near_repeat() {
+    Step s = history_[rng_.below(history_.size())];
+    size_t& operand = s.operands[rng_.below(s.operands.size())];
+    for (int tries = 0; tries < 16; ++tries) {
+      size_t other = pick();
+      if (width_of(other) == width_of(operand)) {
+        operand = other;
+        break;
+      }
+    }
+    return s;
   }
 
   Context& a_;
   Context& b_;
   Rng& rng_;
   std::vector<std::pair<ExprRef, ExprRef>> pool_;
+  std::vector<Step> history_;
 };
 
-Assignment random_assignment(Context& ctx, Rng& rng) {
-  Assignment a;
-  for (uint32_t id = 0; id < ctx.num_vars(); ++id)
-    a.set(id, rng.next() & mask_bits(ctx.var_info(id).width));
-  return a;
+/// Shift `ctx`'s variable ids and intern-table contents: declarations the
+/// build stream never mentions.
+constexpr unsigned kPadVars = 7;
+void pad(Context& ctx) {
+  for (unsigned i = 0; i < kPadVars; ++i)
+    ctx.var("pad" + std::to_string(i), 8 << (i % 4));
+}
+
+/// One random value per variable name, as an Assignment for each world
+/// (the worlds give the same name different ids).
+std::pair<Assignment, Assignment> random_models(const Context& a,
+                                                const Context& b, Rng& rng) {
+  std::pair<Assignment, Assignment> models;
+  for (uint32_t id = 0; id < a.num_vars(); ++id) {
+    const VarInfo& info = a.var_info(id);
+    uint64_t value = rng.next() & mask_bits(info.width);
+    models.first.set(id, value);
+    if (ExprRef var = b.lookup_var(info.name))
+      models.second.set(var->var_id, value);
+  }
+  return models;
+}
+
+/// Deep structural comparison that ignores interning. kVar compares by
+/// var_id, so it is only meaningful for nodes of the same Context.
+bool structurally_equal(ExprRef a, ExprRef b) {
+  std::vector<std::pair<ExprRef, ExprRef>> stack{{a, b}};
+  while (!stack.empty()) {
+    auto [x, y] = stack.back();
+    stack.pop_back();
+    if (x == y) continue;  // shared sub-DAG (or both null)
+    if (x->kind != y->kind || x->width != y->width ||
+        x->num_ops != y->num_ops || x->constant != y->constant ||
+        x->var_id != y->var_id || x->aux0 != y->aux0 || x->aux1 != y->aux1)
+      return false;
+    for (unsigned i = 0; i < x->num_ops; ++i)
+      stack.emplace_back(x->ops[i], y->ops[i]);
+  }
+  return true;
 }
 
 constexpr unsigned kStepsPerSeed = 2500;  // 4 seeds x 2500 ~ 10k expressions
 
 class InternDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-// The core lockstep sweep: the legacy allocator and the arena build the
-// same random stream; every step must agree on width and on concrete
-// evaluation (var ids are allocated in the same order, so one Assignment
-// serves both worlds), and the arena must come out strictly denser.
+// The core lockstep sweep: the plain and the padded world build the same
+// random stream; every step must agree on width and on concrete evaluation,
+// and must evaluate like its builder calls replayed over constants in a
+// fresh context. The worlds intern identically: the padded one allocated
+// exactly its padding more.
 TEST_P(InternDifferential, EvaluationAgreesAtEveryStep) {
   Rng rng(GetParam());
-  Context interned(/*intern_exprs=*/true);
-  Context legacy(/*intern_exprs=*/false);
-  ASSERT_TRUE(interned.interning());
-  ASSERT_FALSE(legacy.interning());
-  DualGen gen(interned, legacy, rng, 5);
+  Context plain;
+  Context padded;
+  pad(padded);
+  DualGen gen(plain, padded, rng, 5);
 
   Rng model_rng(GetParam() ^ 0x9e3779b97f4a7c15ull);
   for (unsigned i = 0; i < kStepsPerSeed; ++i) {
-    auto [a, b] = gen.step();
+    Step step = gen.step();
+    auto [a, b] = gen.pool().back();
     ASSERT_EQ(a->width, b->width) << "step " << i;
-    Assignment model = random_assignment(interned, model_rng);
-    ASSERT_EQ(evaluate(a, model), evaluate(b, model))
-        << "step " << i << " diverges between intern and legacy";
+    auto [ma, mb] = random_models(plain, padded, model_rng);
+    uint64_t value = evaluate(a, ma);
+    ASSERT_EQ(value, evaluate(b, mb))
+        << "step " << i << " diverges between the plain and padded world";
+
+    Context fresh;
+    Operands constants;
+    for (size_t k : step.operands) {
+      ExprRef op = gen.pool()[k].first;
+      constants.push_back(fresh.constant(evaluate(op, ma), op->width));
+    }
+    ASSERT_EQ(value, evaluate(step.build(fresh, constants), Assignment{}))
+        << "step " << i << " disagrees with a history-free context";
   }
   // The final expressions, hammered with more models.
   auto [a, b] = gen.pool().back();
   for (int i = 0; i < 32; ++i) {
-    Assignment model = random_assignment(interned, model_rng);
-    EXPECT_EQ(evaluate(a, model), evaluate(b, model)) << "model " << i;
+    auto [ma, mb] = random_models(plain, padded, model_rng);
+    EXPECT_EQ(evaluate(a, ma), evaluate(b, mb)) << "model " << i;
   }
 
-  // Sharing must be real: the legacy world allocated a fresh node per
-  // builder call, the arena answered a good fraction from the table.
-  EXPECT_GT(legacy.num_nodes(), interned.num_nodes());
-  EXPECT_GT(interned.intern_hits(), 0u);
-  EXPECT_EQ(legacy.intern_hits(), 0u);
-  EXPECT_GT(interned.arena_bytes(), 0u);
-  EXPECT_GT(legacy.arena_bytes(), 0u);
+  // Sharing must be real, and independent of ids and table layout.
+  EXPECT_GT(plain.intern_hits(), 0u);
+  EXPECT_EQ(padded.intern_hits(), plain.intern_hits());
+  EXPECT_EQ(padded.num_nodes(), plain.num_nodes() + kPadVars);
+  EXPECT_GT(plain.arena_bytes(), 0u);
 }
 
-// Tentpole invariant: on the interning side, structural equality IS pointer
-// equality. Checked two ways — hash groups must be singletons (two distinct
-// nodes sharing a content hash would be either a intern-table bug or a
-// 64-bit collision) and random pairs must agree with structurally_equal.
+// Tentpole invariant: structural equality IS pointer equality. Checked two
+// ways — hash groups must be singletons (two distinct nodes sharing a
+// content hash would be either a intern-table bug or a 64-bit collision)
+// and random pairs must agree with structurally_equal.
 TEST_P(InternDifferential, StructuralEqualityIsPointerEquality) {
   Rng rng(GetParam());
-  Context interned(/*intern_exprs=*/true);
-  Context legacy(/*intern_exprs=*/false);
-  DualGen gen(interned, legacy, rng, 5);
+  Context plain;
+  Context padded;
+  pad(padded);
+  DualGen gen(plain, padded, rng, 5);
   for (unsigned i = 0; i < kStepsPerSeed / 4; ++i) gen.step();
 
   std::unordered_map<uint64_t, ExprRef> by_hash;
@@ -300,74 +379,55 @@ TEST_P(InternDifferential, StructuralEqualityIsPointerEquality) {
       EXPECT_EQ(it->second, a)
           << "two distinct interned nodes share content hash " << a->hash;
     }
+    EXPECT_EQ(a->hash, b->hash);
   }
   Rng pair_rng(GetParam() ^ 0x517cc1b727220a95ull);
   const auto& pool = gen.pool();
   for (int i = 0; i < 512; ++i) {
-    ExprRef x = pool[pair_rng.below(pool.size())].first;
-    ExprRef y = pool[pair_rng.below(pool.size())].first;
-    EXPECT_EQ(x == y, structurally_equal(x, y));
-    // The legacy side keeps the full structural-compare contract instead.
-    ExprRef lx = pool[pair_rng.below(pool.size())].second;
-    EXPECT_TRUE(structurally_equal(lx, lx));
+    size_t x = pair_rng.below(pool.size()), y = pair_rng.below(pool.size());
+    EXPECT_EQ(pool[x].first == pool[y].first,
+              structurally_equal(pool[x].first, pool[y].first));
+    EXPECT_EQ(pool[x].second == pool[y].second,
+              structurally_equal(pool[x].second, pool[y].second));
   }
 }
 
 // Canonical forms converge: re-interning both worlds into a fresh arena
 // (folds re-fire bottom-up) must land on the same node — for the raw
-// expressions, for their simplify fixpoints, and for their SMT-LIB text
-// parsed back in (identical modulo let-sharing).
-TEST_P(InternDifferential, CanonicalFormsConvergeAcrossModes) {
+// expressions and for their simplify fixpoints.
+TEST_P(InternDifferential, CanonicalFormsConvergeAcrossContexts) {
   Rng rng(GetParam());
-  Context interned(/*intern_exprs=*/true);
-  Context legacy(/*intern_exprs=*/false);
-  DualGen gen(interned, legacy, rng, 5);
+  Context plain;
+  Context padded;
+  pad(padded);
+  DualGen gen(plain, padded, rng, 5);
   for (unsigned i = 0; i < kStepsPerSeed / 4; ++i) gen.step();
 
-  Context fresh(/*intern_exprs=*/true);
-  Reintern from_interned(interned, fresh);
-  Reintern from_legacy(legacy, fresh);
-  // Declare the shared variables up front so parse_smtlib can resolve them.
-  for (uint32_t id = 0; id < interned.num_vars(); ++id) {
-    const VarInfo& info = interned.var_info(id);
-    fresh.var(info.name, info.width);
-  }
+  Context fresh;
+  Reintern from_plain(plain, fresh);
+  Reintern from_padded(padded, fresh);
 
   Rng model_rng(GetParam() ^ 0x2545f4914f6cdd1dull);
   const auto& pool = gen.pool();
   for (size_t i = 0; i < pool.size(); i += 37) {
     auto [a, b] = pool[i];
-    ExprRef ca = from_interned.clone(a);
-    ExprRef cb = from_legacy.clone(b);
+    ExprRef ca = from_plain.clone(a);
+    ExprRef cb = from_padded.clone(b);
     ASSERT_EQ(ca, cb) << "re-interned forms diverge at pool index " << i;
     // Re-interning an arena's own node through its own builders is the
     // identity: the node already is the canonical form.
-    Reintern self(interned, interned);
+    Reintern self(plain, plain);
     EXPECT_EQ(self.clone(a), a) << "pool index " << i;
 
     // Simplify in each home world, then canonicalize: one fixpoint.
-    ExprRef sa = simplify(interned, a);
-    ExprRef sb = simplify(legacy, b);
-    Assignment model = random_assignment(interned, model_rng);
-    EXPECT_EQ(evaluate(sa, model), evaluate(a, model)) << "pool index " << i;
-    EXPECT_EQ(evaluate(sb, model), evaluate(b, model)) << "pool index " << i;
-    ExprRef csa = simplify(fresh, from_interned.clone(sa));
-    ExprRef csb = simplify(fresh, from_legacy.clone(sb));
+    ExprRef sa = simplify(plain, a);
+    ExprRef sb = simplify(padded, b);
+    auto [ma, mb] = random_models(plain, padded, model_rng);
+    EXPECT_EQ(evaluate(sa, ma), evaluate(a, ma)) << "pool index " << i;
+    EXPECT_EQ(evaluate(sb, mb), evaluate(b, mb)) << "pool index " << i;
+    ExprRef csa = simplify(fresh, from_plain.clone(sa));
+    ExprRef csb = simplify(fresh, from_padded.clone(sb));
     EXPECT_EQ(csa, csb) << "simplify fixpoints diverge at pool index " << i;
-
-    // SMT-LIB text: the legacy print may duplicate shared subtrees the
-    // interned print lets — but parsed back into one arena both name the
-    // same node. Parsing the interned print into its own context is the
-    // exact round-trip.
-    std::string error;
-    ExprRef pa = parse_smtlib(fresh, to_smtlib(interned, a), &error);
-    ASSERT_NE(pa, nullptr) << error << " at pool index " << i;
-    ExprRef pb = parse_smtlib(fresh, to_smtlib(legacy, b), &error);
-    ASSERT_NE(pb, nullptr) << error << " at pool index " << i;
-    EXPECT_EQ(pa, pb) << "printed forms diverge at pool index " << i;
-    EXPECT_EQ(pa, ca) << "print/parse is not the re-intern at index " << i;
-    EXPECT_EQ(parse_smtlib(interned, to_smtlib(interned, a), &error), a)
-        << "round-trip into the home arena at pool index " << i;
   }
 }
 
@@ -377,72 +437,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternDifferential,
 }  // namespace
 }  // namespace binsym::smt
 
-// -- Engine level: stats plumbing and the bit-identity sweep. ----------------
+// -- Engine level: stats plumbing. -------------------------------------------
 
 namespace binsym {
 namespace {
 
 class InternEngineTest : public ::testing::Test {
  protected:
-  InternEngineTest() {
-    spec::install_rv32im(registry, table);
-    spec::install_custom_madd(table, registry);
-    spec::install_zbb(table, registry);
-  }
+  InternEngineTest() { spec::install_rv32im(registry, table); }
 
-  core::Program load_asm(const std::string& source) {
-    return elf::to_program(rvasm::assemble_or_die(table, source).image);
-  }
-
-  core::WorkerFactory factory(const core::Program& program, bool intern,
-                              const std::string& oracles_spec = "") {
-    return [this, &program, intern, oracles_spec](unsigned) {
-      core::WorkerResources r;
-      r.ctx = std::make_unique<smt::Context>(intern);
-      r.executor = std::make_unique<core::BinSymExecutor>(
-          *r.ctx, decoder, registry, program, core::MachineConfig{});
-      r.solver = smt::make_z3_solver(*r.ctx);
-      if (!oracles_spec.empty()) {
-        std::string error;
-        auto manager = oracles::OracleManager::make(
-            *r.ctx,
-            oracles::MemoryMap::for_program(program,
-                                            core::MachineConfig{}.stack_top),
-            oracles_spec, &error);
-        EXPECT_TRUE(manager) << error;
-        r.executor->set_observer(manager.get());
-        struct Keep {
-          std::unique_ptr<oracles::OracleManager> manager;
-        };
-        auto keep = std::make_shared<Keep>();
-        keep->manager = std::move(manager);
-        r.keepalive = std::move(keep);
-      }
-      return r;
-    };
-  }
-
-  struct Exploration {
-    core::EngineStats stats;
-    std::set<std::string> path_keys;
-    std::multiset<uint32_t> failures;
-  };
-
-  Exploration explore(const core::Program& program, bool intern,
-                      core::EngineOptions options) {
-    options.intern_exprs = intern;
-    core::DseEngine dse(factory(program, intern), options);
-    Exploration result;
-    result.stats = dse.explore([&](const core::PathResult& path) {
-      std::string key;
-      key.reserve(path.trace.branches.size());
-      for (const core::BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      result.path_keys.insert(key);
-      for (const core::Failure& f : path.trace.failures)
-        result.failures.insert(f.id);
-    });
-    return result;
+  core::EngineStats explore(const core::Program& program) {
+    core::DseEngine dse(
+        [&](unsigned) {
+          core::WorkerResources r;
+          r.ctx = std::make_unique<smt::Context>();
+          r.executor = std::make_unique<core::BinSymExecutor>(
+              *r.ctx, decoder, registry, program, core::MachineConfig{});
+          r.solver = smt::make_z3_solver(*r.ctx);
+          return r;
+        },
+        core::EngineOptions{});
+    return dse.explore();
   }
 
   isa::OpcodeTable table;
@@ -477,98 +492,15 @@ buf: .space 3
 )";
 
 TEST_F(InternEngineTest, StatsCollectArenaCounters) {
-  core::Program program = load_asm(kThreeBranchGuest);
-  Exploration on = explore(program, /*intern=*/true, {});
-  EXPECT_GT(on.stats.exprs_interned, 0u);
-  EXPECT_GT(on.stats.intern_hits, 0u);
-  EXPECT_GT(on.stats.arena_bytes, 0u);
-  std::string report = core::engine_stats_report(on.stats);
+  core::Program program = elf::to_program(
+      rvasm::assemble_or_die(table, kThreeBranchGuest).image);
+  core::EngineStats stats = explore(program);
+  EXPECT_GT(stats.exprs_interned, 0u);
+  EXPECT_GT(stats.intern_hits, 0u);
+  EXPECT_GT(stats.arena_bytes, 0u);
+  std::string report = core::engine_stats_report(stats);
   EXPECT_NE(report.find("intern:"), std::string::npos) << report;
-
-  Exploration off = explore(program, /*intern=*/false, {});
-  EXPECT_GT(off.stats.exprs_interned, 0u);  // nodes still counted
-  EXPECT_EQ(off.stats.intern_hits, 0u);     // but never answered from a table
-  // The legacy allocator mints a fresh node per builder call, so it can
-  // only allocate more.
-  EXPECT_GE(off.stats.exprs_interned, on.stats.exprs_interned);
-  EXPECT_EQ(off.path_keys, on.path_keys);
 }
-
-TEST_F(InternEngineTest, FindingTriplesIdenticalWithInternOnAndOff) {
-  // Hash-consing must be invisible to bug finding: the (oracle, pc,
-  // call-depth) triples reported over the buggy corpus must be
-  // bit-identical no matter which allocator the worker contexts use.
-  for (const char* name :
-       {"buggy-div", "buggy-overflow", "buggy-unaligned", "buggy-stack-smash"}) {
-    core::Program program = workloads::load_workload(table, name);
-    auto campaign = [&](bool intern) {
-      core::EngineOptions options;
-      options.intern_exprs = intern;
-      core::DseEngine dse(factory(program, intern, "all"), options);
-      dse.explore();
-      std::multiset<uint64_t> keys;
-      for (const core::Finding& f : dse.findings())
-        keys.insert(core::finding_key(f.oracle, f.pc, f.call_depth));
-      return keys;
-    };
-    std::multiset<uint64_t> with_intern = campaign(true);
-    EXPECT_FALSE(with_intern.empty()) << name;
-    EXPECT_EQ(with_intern, campaign(false)) << name;
-  }
-}
-
-// -- Table I bit-identity sweep. ---------------------------------------------
-//
-// The arena may only change representation and cost: across the intern
-// toggle, search strategies and worker counts, the discovered path set and
-// failures must be bit-identical. This is the acceptance bar of the
-// subsystem. Excluded from the sanitizer CI jobs like the other
-// full-workload determinism sweeps.
-
-class InternWorkloadIdentity
-    : public InternEngineTest,
-      public ::testing::WithParamInterface<const char*> {};
-
-TEST_P(InternWorkloadIdentity, PathSetInvariantAcrossInternStrategiesJobs) {
-  core::Program program = workloads::load_workload(table, GetParam());
-
-  core::EngineOptions reference_options;  // intern on, dfs, one worker
-  Exploration reference = explore(program, /*intern=*/true,
-                                  reference_options);
-  EXPECT_GT(reference.stats.paths, 100u);
-  EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
-  EXPECT_GT(reference.stats.intern_hits, 0u);
-
-  for (bool intern : {true, false}) {
-    for (core::SearchKind kind :
-         {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-      for (unsigned jobs : {1u, 4u}) {
-        if (intern && kind == core::SearchKind::kDepthFirst && jobs == 1)
-          continue;  // the reference configuration
-        core::EngineOptions options;
-        options.search = kind;
-        options.jobs = jobs;
-        Exploration run = explore(program, intern, options);
-        std::string label = std::string(intern ? "intern" : "legacy") + " " +
-                            core::search_kind_name(kind) +
-                            " jobs=" + std::to_string(jobs);
-        EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
-        EXPECT_EQ(run.path_keys, reference.path_keys) << label;
-        EXPECT_EQ(run.failures, reference.failures) << label;
-        if (intern) {
-          EXPECT_GT(run.stats.intern_hits, 0u) << label;
-        } else {
-          EXPECT_EQ(run.stats.intern_hits, 0u) << label;
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, InternWorkloadIdentity,
-                         ::testing::Values("base64-encode", "bubble-sort",
-                                           "clif-parser", "insertion-sort",
-                                           "uri-parser"));
 
 }  // namespace
 }  // namespace binsym

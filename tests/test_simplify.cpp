@@ -92,69 +92,35 @@ TEST_F(SimplifyRules, RulesComposeDownChains) {
   EXPECT_EQ(simplify(ctx, root), ctx.eq(x, c(10)));
 }
 
-// -- Differential property: every rule pattern preserves semantics. -----------
-
 // -- The arena-id-keyed memo overload. ----------------------------------------
 
 TEST_F(SimplifyRules, SharedMemoMatchesFreshSimplificationAcrossRoots) {
   // The memo keys on the dense arena node id (source -> simplified). A memo
   // shared across overlapping roots must return exactly what a fresh
-  // per-root simplification returns — in both intern modes, where the
-  // legacy allocator gives structural clones separate ids (and therefore
-  // separate, equally correct, memo entries).
-  for (bool intern : {true, false}) {
-    Context c2(intern);
-    ExprRef v = c2.var("v", 8);
-    ExprRef shared = c2.eq(c2.add(v, c2.constant(3, 8)), c2.constant(10, 8));
-    std::vector<ExprRef> roots = {
-        shared,
-        c2.and_(shared, c2.ult(v, c2.constant(20, 8))),
-        c2.or_(shared, c2.eq(c2.xor_(v, c2.constant(0x0f, 8)),
-                             c2.constant(0xf0, 8))),
-        // A structural clone of `shared`: same node when interning, a
-        // distinct id (separate memo entry) with the legacy allocator.
-        c2.eq(c2.add(v, c2.constant(3, 8)), c2.constant(10, 8)),
-    };
-    std::unordered_map<uint32_t, ExprRef> memo;
-    for (size_t i = 0; i < roots.size(); ++i) {
-      ExprRef with_memo = simplify(c2, roots[i], memo);
-      ExprRef fresh = simplify(c2, roots[i]);
-      if (intern) {
-        // Interning collapses the rebuilt result onto the memoized node.
-        EXPECT_EQ(with_memo, fresh) << "intern root " << i;
-      } else {
-        // The legacy allocator returns a fresh clone per simplify call;
-        // the memo must still agree structurally.
-        EXPECT_TRUE(structurally_equal(with_memo, fresh))
-            << "legacy root " << i;
-      }
-      // And repeated queries through the warm memo are stable.
-      EXPECT_EQ(simplify(c2, roots[i], memo), with_memo)
-          << (intern ? "intern" : "legacy") << " root " << i;
-    }
-    if (intern) {
-      EXPECT_EQ(roots[0], roots[3]);  // the clone collapsed
-    }
+  // per-root simplification returns.
+  Context c2;
+  ExprRef v = c2.var("v", 8);
+  ExprRef shared = c2.eq(c2.add(v, c2.constant(3, 8)), c2.constant(10, 8));
+  std::vector<ExprRef> roots = {
+      shared,
+      c2.and_(shared, c2.ult(v, c2.constant(20, 8))),
+      c2.or_(shared, c2.eq(c2.xor_(v, c2.constant(0x0f, 8)),
+                           c2.constant(0xf0, 8))),
+      // A structural clone of `shared`: interning makes it the same node.
+      c2.eq(c2.add(v, c2.constant(3, 8)), c2.constant(10, 8)),
+  };
+  std::unordered_map<uint32_t, ExprRef> memo;
+  for (size_t i = 0; i < roots.size(); ++i) {
+    ExprRef with_memo = simplify(c2, roots[i], memo);
+    // Interning collapses the rebuilt result onto the memoized node.
+    EXPECT_EQ(with_memo, simplify(c2, roots[i])) << "root " << i;
+    // And repeated queries through the warm memo are stable.
+    EXPECT_EQ(simplify(c2, roots[i], memo), with_memo) << "root " << i;
   }
+  EXPECT_EQ(roots[0], roots[3]);  // the clone collapsed
 }
 
-TEST_F(SimplifyRules, LegacyContextSimplifyPreservesEvaluation) {
-  // The simplifier rebuilds through the builders; with the legacy
-  // allocator those return fresh nodes, and the result must still mean
-  // the same thing.
-  Context legacy(/*intern_exprs=*/false);
-  ExprRef v = legacy.var("v", 8);
-  ExprRef root = legacy.eq(legacy.xor_(legacy.add(v, legacy.constant(2, 8)),
-                                       legacy.constant(5, 8)),
-                           legacy.constant(9, 8));
-  ExprRef simplified = simplify(legacy, root);
-  Rng rng(7);
-  for (int i = 0; i < 32; ++i) {
-    Assignment a;
-    a.set(v->var_id, rng.next() & 0xff);
-    EXPECT_EQ(evaluate(root, a), evaluate(simplified, a));
-  }
-}
+// -- Differential property: every rule pattern preserves semantics. -----------
 
 TEST_F(SimplifyRules, RulePatternsAgreeWithEvaluatorAndZ3) {
   Rng rng(2025);

@@ -2,11 +2,13 @@
 //   * the simplifier preserves concrete evaluation,
 //   * simplification is idempotent,
 //   * builder folding agrees with the evaluator,
-//   * Z3 agrees with the concrete evaluator on forced-value queries,
+//   * Z3 agrees with the concrete evaluator on forced-value queries, both
+//     through the native backend and through Z3's reading of the SMT-LIB
+//     printer's text,
 //   * interning is idempotent and content hashes are context-independent,
 //   * CachingEvaluator memos never alias distinct structures,
-//   * persistent-store keys are stable across contexts, the intern toggle
-//     and simulated restarts.
+//   * persistent-store keys are stable across contexts and simulated
+//     restarts.
 #include <gtest/gtest.h>
 
 #include <unordered_map>
@@ -18,6 +20,7 @@
 #include "smt/simplify.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
+#include "solver_test_util.hpp"
 #include "support/bits.hpp"
 #include "support/rng.hpp"
 
@@ -191,6 +194,22 @@ TEST_P(SmtProperty, Z3AgreesWithEvaluator) {
   EXPECT_EQ(solver->check(assertions, nullptr), CheckResult::kUnsat);
 }
 
+TEST_P(SmtProperty, Z3ReadsPrintedDagsLikeTheEvaluator) {
+  // The same forced-value pair, but the question travels as SMT-LIB text
+  // (let-shared DAG, indexed ops, literals) through Z3's own parser.
+  Rng rng(GetParam() ^ 0x7e47);
+  Context ctx;
+  DagGen gen(ctx, rng, 3);
+  ExprRef root = gen.grow(30);
+  Assignment a = random_assignment(ctx, rng);
+  uint64_t value = evaluate(root, a);
+  for (uint64_t v : {value, value + 1}) {
+    EXPECT_TRUE(z3_reads_like_evaluator(
+        ctx, {ctx.eq(root, ctx.constant(v, root->width))}, a))
+        << to_smtlib(ctx, root) << " == " << v;
+  }
+}
+
 TEST_P(SmtProperty, InterningIsIdempotent) {
   // Replay the exact same build sequence twice against one interning
   // context: every builder call of the second pass must be answered from
@@ -233,45 +252,35 @@ TEST_P(SmtProperty, ContentHashStableAcrossContexts) {
 }
 
 TEST_P(SmtProperty, CachingEvaluatorMemosNeverAliasDistinctNodes) {
-  // The evaluator memo keys on the content hash. In an interning context
-  // equal hashes are the same pointer; in a legacy context structural
-  // clones share entries. Either way, the memoized value for every node in
-  // the DAG must equal a fresh, memo-free evaluation of that node.
+  // The evaluator memo keys on the content hash, and interning makes equal
+  // hashes the same pointer. The memoized value for every node in the DAG
+  // must equal a fresh, memo-free evaluation of that node.
   Rng rng(GetParam() ^ 0xeea1);
-  for (bool intern : {true, false}) {
-    Context ctx(intern);
-    DagGen gen(ctx, rng, 4);
-    ExprRef root = gen.grow(80);
-    Assignment a = random_assignment(ctx, rng);
-    CachingEvaluator cached(a);
-    std::unordered_map<uint64_t, ExprRef> by_hash;
-    postorder(root, [&](ExprRef n) {
-      EXPECT_EQ(cached.evaluate(n), evaluate(n, a))
-          << kind_name(n->kind) << " id " << n->id;
-      auto [it, inserted] = by_hash.emplace(n->hash, n);
-      if (!inserted && intern) {
-        // Interning: one hash, one node.
-        EXPECT_EQ(it->second, n);
-      } else if (!inserted) {
-        // Legacy clones may share a hash — then they must be structural
-        // twins, which is exactly what makes the shared memo entry sound.
-        EXPECT_TRUE(structurally_equal(it->second, n));
-      }
-    });
-  }
+  Context ctx;
+  DagGen gen(ctx, rng, 4);
+  ExprRef root = gen.grow(80);
+  Assignment a = random_assignment(ctx, rng);
+  CachingEvaluator cached(a);
+  std::unordered_map<uint64_t, ExprRef> by_hash;
+  postorder(root, [&](ExprRef n) {
+    EXPECT_EQ(cached.evaluate(n), evaluate(n, a))
+        << kind_name(n->kind) << " id " << n->id;
+    auto [it, inserted] = by_hash.emplace(n->hash, n);
+    if (!inserted) {
+      EXPECT_EQ(it->second, n);  // one hash, one node
+    }
+  });
 }
 
-TEST_P(SmtProperty, StoreKeysStableAcrossContextsInternToggleAndRestarts) {
+TEST_P(SmtProperty, StoreKeysStableAcrossContextsAndRestarts) {
   // The persistent store inherits the QueryCache keyspace: the sorted
   // content hashes of a query's assertions. Replaying the same build stream
-  // in an id-shifted context AND in a legacy (non-interning) context must
-  // produce the identical key — that is what makes a store entry written by
-  // one process answer the same query in the next, whatever allocator or
-  // declaration order that process used.
+  // in an id-shifted context must produce the identical key — that is what
+  // makes a store entry written by one process answer the same query in the
+  // next, whatever declaration order that process used.
   uint64_t seed = GetParam() ^ 0x57072e;
-  Context plain(/*intern_exprs=*/true);
-  Context padded(/*intern_exprs=*/true);
-  Context legacy(/*intern_exprs=*/false);
+  Context plain;
+  Context padded;
   for (int i = 0; i < 7; ++i) padded.var("pad" + std::to_string(i), 16);
 
   auto build_query = [&](Context& ctx) {
@@ -292,14 +301,12 @@ TEST_P(SmtProperty, StoreKeysStableAcrossContextsInternToggleAndRestarts) {
 
   std::vector<ExprRef> a = build_query(plain);
   std::vector<ExprRef> b = build_query(padded);
-  std::vector<ExprRef> c = build_query(legacy);
   QueryCache::Key key = QueryCache::key_for(a);
   EXPECT_FALSE(key.empty());
   EXPECT_EQ(key, QueryCache::key_for(b));
-  EXPECT_EQ(key, QueryCache::key_for(c));
 
   // Restart simulation: an entry stored under the plain context's key,
-  // flushed and reopened, answers the legacy context's key.
+  // flushed and reopened, answers the padded context's key.
   const std::string dir = ::testing::TempDir() + "binsym-keystab-" +
                           std::to_string(GetParam());
   {
@@ -312,7 +319,7 @@ TEST_P(SmtProperty, StoreKeysStableAcrossContextsInternToggleAndRestarts) {
   }
   auto reopened = SolverStore::open(dir);
   SolverStore::Entry entry;
-  ASSERT_TRUE(reopened->lookup(QueryCache::key_for(c), &entry));
+  ASSERT_TRUE(reopened->lookup(QueryCache::key_for(b), &entry));
   EXPECT_EQ(entry.verdict, CheckResult::kUnsat);
   EXPECT_EQ(entry.backend, "property");
 }

@@ -1,12 +1,15 @@
 // SMT-LIB printer tests: golden fragments + well-formedness (declared
-// variables, balanced parens, shared nodes let-bound once), and the
-// parser's round-trip property: parsing printed text back into the same
-// interning context returns the original node.
+// variables, balanced parens, shared nodes let-bound once), and Z3's own
+// parser as the independent reader: printed text must mean what the nodes
+// mean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "smt/smtlib.hpp"
+#include "solver_test_util.hpp"
+#include "support/bits.hpp"
+#include "support/rng.hpp"
 
 namespace binsym::smt {
 namespace {
@@ -85,96 +88,82 @@ TEST(Smtlib, AssertionsBooleanized) {
   EXPECT_NE(query.find("(assert (= b #b1))"), std::string::npos);
 }
 
-// -- Parser round-trips. -----------------------------------------------------
+// -- Z3 as the independent reader. ------------------------------------------
 //
-// Parsing rebuilds through the context's folding builders, so in an
-// interning context parse(print(e)) must return exactly e — the text is a
-// faithful external name for the node.
+// Each printed form goes through Z3's SMT-LIB parser with every variable
+// pinned to a random model value: Z3 must call `e == v` sat exactly for the
+// value v that binsym's evaluator gives e (z3_reads_like_evaluator).
 
-TEST(SmtlibParse, RoundTripSimpleExpression) {
-  Context ctx;
-  ExprRef x = ctx.var("x", 32);
-  ExprRef e = ctx.add(ctx.mul(x, ctx.constant(3, 32)), ctx.constant(1, 32));
-  std::string error;
-  EXPECT_EQ(parse_smtlib(ctx, to_smtlib(ctx, e), &error), e) << error;
+/// For `e` under a few random models: `e == eval(e)` must read as sat and
+/// `e == eval(e) + 1` as unsat.
+void expect_z3_reads(Context& ctx, ExprRef e, uint64_t seed) {
+  Rng rng(seed);
+  for (int round = 0; round < 4; ++round) {
+    Assignment model;
+    for (uint32_t id = 0; id < ctx.num_vars(); ++id)
+      model.set(id, rng.next() & mask_bits(ctx.var_info(id).width));
+    const uint64_t value = evaluate(e, model);
+    for (uint64_t v : {value, value + 1}) {
+      EXPECT_TRUE(z3_reads_like_evaluator(
+          ctx, {ctx.eq(e, ctx.constant(v, e->width))}, model))
+          << to_smtlib(ctx, e) << " == " << v;
+    }
+  }
 }
 
-TEST(SmtlibParse, RoundTripLetSharedNodes) {
+TEST(SmtlibZ3Read, LetSharedNodes) {
   Context ctx;
   ExprRef x = ctx.var("x", 32);
   ExprRef sum = ctx.add(x, ctx.var("y", 32));
   ExprRef e = ctx.mul(sum, sum);
-  std::string text = to_smtlib(ctx, e);
-  ASSERT_NE(text.find("(let (("), std::string::npos);  // shared => let-bound
-  std::string error;
-  EXPECT_EQ(parse_smtlib(ctx, text, &error), e) << error;
+  ASSERT_NE(to_smtlib(ctx, e).find("(let (("), std::string::npos);
+  expect_z3_reads(ctx, e, 1);
 }
 
-TEST(SmtlibParse, RoundTripDegenerateSingleUseChain) {
-  // Every node used exactly once: no lets at all, just a nested tree. The
-  // degenerate case exercises the parser without the binding environment.
+TEST(SmtlibZ3Read, NoLetSingleUseChain) {
+  // Every node used exactly once: no lets at all, just a nested tree.
   Context ctx;
   ExprRef a = ctx.var("a", 8);
   ExprRef b = ctx.var("b", 16);
   ExprRef e = ctx.ite(ctx.ult(ctx.zext(a, 16), b),
                       ctx.extract(b, 7, 0), ctx.not_(a));
-  std::string text = to_smtlib(ctx, e);
-  EXPECT_EQ(text.find("(let"), std::string::npos) << text;
-  std::string error;
-  EXPECT_EQ(parse_smtlib(ctx, text, &error), e) << error;
+  ASSERT_EQ(to_smtlib(ctx, e).find("(let"), std::string::npos);
+  expect_z3_reads(ctx, e, 2);
 }
 
-TEST(SmtlibParse, RoundTripParameterizedAndLiteralForms) {
+TEST(SmtlibZ3Read, IndexedAndLiteralForms) {
   Context ctx;
   ExprRef w = ctx.var("w", 32);
-  for (ExprRef e : {ctx.sext(ctx.extract(w, 15, 8), 32),
-                    ctx.concat(ctx.extract(w, 31, 16), ctx.constant(5, 16)),
-                    ctx.ashr(w, ctx.var("s", 32)),
-                    ctx.eq(ctx.sle(w, ctx.constant(7, 32)),
-                           ctx.slt(w, ctx.constant(9, 32)))}) {
-    std::string error;
-    EXPECT_EQ(parse_smtlib(ctx, to_smtlib(ctx, e), &error), e) << error;
+  ExprRef b = ctx.var("b", 1);
+  for (ExprRef e :
+       {ctx.sext(ctx.extract(w, 15, 8), 32),
+        ctx.concat(ctx.extract(w, 31, 16), ctx.constant(5, 16)),
+        ctx.ashr(w, ctx.var("s", 32)),
+        ctx.eq(ctx.sle(w, ctx.constant(7, 32)),
+               ctx.slt(w, ctx.constant(9, 32))),
+        ctx.concat(ctx.extract(w, 4, 0), ctx.constant(0b101, 5)),  // #b
+        ctx.add(ctx.extract(w, 11, 0), ctx.constant(5, 12)),  // #x005
+        ctx.ite(b, ctx.extract(w, 7, 0), ctx.constant(0xab, 8))}) {
+    expect_z3_reads(ctx, e, e->id);
   }
 }
 
-TEST(SmtlibParse, QueryPrintParsePrintIsAFixpoint) {
+TEST(SmtlibZ3Read, SharedSubtermsAcrossAssertions) {
   Context ctx;
   ExprRef x = ctx.var("x", 8);
   ExprRef y = ctx.var("y", 8);
   ExprRef shared = ctx.add(x, y);
-  std::vector<ExprRef> assertions = {
+  const std::vector<ExprRef> assertions = {
       ctx.ult(shared, ctx.constant(10, 8)),
       ctx.not_(ctx.eq(shared, ctx.constant(3, 8)))};
-  std::string printed = query_string(ctx, assertions);
-
-  // Parse into a fresh context (declarations come from the text itself),
-  // then print again: the text must reach a fixpoint in one round.
-  Context fresh;
-  std::vector<ExprRef> parsed;
-  std::string error;
-  ASSERT_TRUE(parse_query(fresh, printed, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.size(), assertions.size());
-  EXPECT_EQ(query_string(fresh, parsed), printed);
-
-  // And into the original context, each assertion is its original node.
-  std::vector<ExprRef> again;
-  ASSERT_TRUE(parse_query(ctx, printed, &again, &error)) << error;
-  ASSERT_EQ(again.size(), assertions.size());
-  for (size_t i = 0; i < again.size(); ++i)
-    EXPECT_EQ(again[i], assertions[i]) << "assertion " << i;
-}
-
-TEST(SmtlibParse, DiagnosesMalformedInput) {
-  Context ctx;
-  ctx.var("x", 32);
-  std::string error;
-  EXPECT_EQ(parse_smtlib(ctx, "(bvadd x unknown)", &error), nullptr);
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(parse_smtlib(ctx, "(bvadd x #b1)", &error), nullptr);  // widths
-  EXPECT_EQ(parse_smtlib(ctx, "(bvadd x", &error), nullptr);       // truncated
-  EXPECT_EQ(parse_smtlib(ctx, "x trailing", &error), nullptr);
-  std::vector<ExprRef> assertions;
-  EXPECT_FALSE(parse_query(ctx, "(assert x)", &assertions, &error));  // not w1
+  Rng rng(3);
+  for (int round = 0; round < 16; ++round) {
+    Assignment model;
+    model.set(x->var_id, rng.next() & 0xf);
+    model.set(y->var_id, rng.next() & 0xf);
+    EXPECT_TRUE(z3_reads_like_evaluator(ctx, assertions, model))
+        << "round " << round;
+  }
 }
 
 }  // namespace
