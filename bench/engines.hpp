@@ -43,7 +43,6 @@ struct RobustnessOptions {
   std::string solver = "z3";      // primary backend: "z3" | "bitblast"
                                   // (docs/SOLVERS.md)
   uint32_t query_timeout_ms = 0;  // per-query deadline; 0 = none
-  bool failover = true;           // retry unknowns on the other backend
 };
 
 struct EngineSetup {
@@ -54,7 +53,7 @@ struct EngineSetup {
   /// to every worker built from this setup. Defaulted so three-member
   /// aggregate initialization keeps working.
   core::MachineConfig config{};
-  /// Solver deadline/failover knobs, also defaulted (no deadline, plain z3
+  /// Solver backend and deadline knobs, also defaulted (no deadline, plain z3
   /// backend) so existing aggregate initializations keep working.
   RobustnessOptions robust{};
 };
@@ -75,20 +74,18 @@ inline std::unique_ptr<smt::Solver> make_named_solver(const std::string& name,
 
 /// Build the worker solver stack described by `robust` on `ctx`: the named
 /// primary, with the per-query deadline applied, wrapped in a FailoverSolver
-/// (lazily constructing the *other* backend) when a deadline is set and
-/// failover is on. Without a deadline the stack is just the primary, so the
-/// default configuration is byte-identical to the pre-robustness one.
+/// (lazily constructing the *other* backend) when a deadline is set.
+/// Without a deadline the stack is just the primary, so the default
+/// configuration is byte-identical to the pre-robustness one.
 inline std::unique_ptr<smt::Solver> make_robust_solver(
     const RobustnessOptions& robust, smt::Context& ctx) {
   std::unique_ptr<smt::Solver> solver = make_named_solver(robust.solver, ctx);
   if (!solver) return nullptr;
   if (robust.query_timeout_ms == 0) return solver;
-  if (robust.failover) {
-    const std::string secondary = robust.solver == "z3" ? "bitblast" : "z3";
-    solver = std::make_unique<smt::FailoverSolver>(
-        std::move(solver),
-        [secondary, &ctx] { return make_named_solver(secondary, ctx); });
-  }
+  const std::string secondary = robust.solver == "z3" ? "bitblast" : "z3";
+  solver = std::make_unique<smt::FailoverSolver>(
+      std::move(solver),
+      [secondary, &ctx] { return make_named_solver(secondary, ctx); });
   solver->set_deadline_ms(robust.query_timeout_ms);
   return solver;
 }
@@ -291,31 +288,10 @@ inline unsigned parse_jobs_arg(std::string_view arg) {
                           parse_unsigned_arg("--jobs", arg, UINT_MAX)));
 }
 
-/// Micro-op fast-path knobs, shared by every harness: --no-uop disables the
-/// block-compiled fast path (pure per-instruction spec interpretation),
-/// --uop-cache-size N bounds the per-worker block cache. Consumes the value
-/// argument (advancing *i) for the latter. Returns false when argv[*i] is
-/// neither.
-inline bool parse_uop_flag(int argc, char** argv, int* i,
-                           core::MachineConfig* config) {
-  const char* arg = argv[*i];
-  if (std::strcmp(arg, "--no-uop") == 0) {
-    config->uop_fastpath = false;
-  } else if (std::strcmp(arg, "--uop-cache-size") == 0 && *i + 1 < argc) {
-    config->uop_cache_blocks = std::max(
-        1u, static_cast<unsigned>(parse_unsigned_arg(
-                "--uop-cache-size", argv[++*i], UINT32_MAX)));
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// Robustness knobs, shared by every harness (docs/ROBUSTNESS.md,
 /// docs/SOLVERS.md):
 ///   --solver NAME             primary backend (z3 | bitblast)
 ///   --query-timeout-ms N      per-solver-query deadline (0 = none)
-///   --no-failover             don't retry unknowns on the other backend
 ///   --deadline-secs N         wall-clock budget for the whole exploration
 ///   --memory-budget-mb N      stop when resident set exceeds N MiB
 /// Consumes the value argument (advancing *i) for the valued flags. Returns
@@ -338,8 +314,6 @@ inline bool parse_robustness_flag(int argc, char** argv, int* i,
   } else if (std::strcmp(arg, "--query-timeout-ms") == 0 && *i + 1 < argc) {
     robust->query_timeout_ms = static_cast<uint32_t>(
         parse_unsigned_arg("--query-timeout-ms", argv[++*i], UINT32_MAX));
-  } else if (std::strcmp(arg, "--no-failover") == 0) {
-    robust->failover = false;
   } else if (std::strcmp(arg, "--deadline-secs") == 0 && *i + 1 < argc) {
     options->deadline_secs = parse_unsigned_arg("--deadline-secs", argv[++*i]);
   } else if (std::strcmp(arg, "--memory-budget-mb") == 0 && *i + 1 < argc) {

@@ -4,9 +4,8 @@
 //
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
-//           [--no-uop] [--uop-cache-size N]
+//           [--no-uop]
 //           [--solver z3|bitblast] [--query-timeout-ms N]
-//           [--no-failover]
 //           [--solver-store DIR]
 //           [--deadline-secs N] [--memory-budget-mb N] [--fault-inject SPEC]
 //           [--show-failures] [--oracles LIST] [--findings-dir DIR]
@@ -44,14 +43,11 @@ void print_usage(std::FILE* out, const char* prog) {
       "                           path-selection strategy\n"
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
-      "  --uop-cache-size N       cached micro-op blocks per worker\n"
       "  --solver NAME            primary SMT backend (default z3); one of\n"
       "                           z3, bitblast (see docs/SOLVERS.md)\n"
       "  --query-timeout-ms N     per-solver-query deadline; a query that\n"
       "                           exceeds it returns unknown and the flip\n"
       "                           is skipped, never treated as infeasible\n"
-      "  --no-failover            do not retry unknown/failed queries on\n"
-      "                           the other backend\n"
       "  --solver-store DIR       persistent content-addressed query/model\n"
       "                           store: load prior verdicts from\n"
       "                           DIR/store.bin, record new ones, flush at\n"
@@ -187,8 +183,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--fault-inject: %s\n", error.c_str());
         return 2;
       }
-    } else if (bench::parse_uop_flag(argc, argv, &i, &mconfig)) {
-      // handled
+    } else if (std::strcmp(argv[i], "--no-uop") == 0) {
+      mconfig.uop_fastpath = false;
     } else if (std::strcmp(argv[i], "--show-failures") == 0) {
       show_failures = true;
     } else if (std::strcmp(argv[i], "--static-lint") == 0) {

@@ -394,7 +394,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
                                                 : upstream_unsat);
       } else {
         stack.sync(prefix);
-        const auto solve_start = std::chrono::steady_clock::now();
         out.result = solver.check_assuming(std::span(&target, 1), &model);
         if (out.result == smt::CheckResult::kUnknown) {
           ++local.queries_unknown;
@@ -408,12 +407,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         if (store && out.result != smt::CheckResult::kUnknown) {
           smt::SolverStore::Entry persisted;
           persisted.verdict = out.result;
-          persisted.backend = solver.last_backend();
           persisted.var_count = var_count;
-          persisted.solve_seconds = std::chrono::duration<double>(
-                                        std::chrono::steady_clock::now() -
-                                        solve_start)
-                                        .count();
           if (out.result == smt::CheckResult::kSat) {
             persisted.model.reserve(model.values.size());
             for (const auto& [var, value] : model.values)

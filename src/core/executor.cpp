@@ -77,8 +77,7 @@ BinSymExecutor::BinSymExecutor(smt::Context& ctx, const isa::Decoder& decoder,
       registry_(registry),
       program_(program),
       config_(config),
-      machine_(ctx),
-      cache_(config.uop_cache_blocks) {
+      machine_(ctx) {
   if (config_.uop_fastpath) machine_.set_store_watch(&cache_);
 }
 

@@ -79,8 +79,6 @@ struct MachineConfig {
   /// bit-identical either way; this only trades compile/cache overhead
   /// against per-instruction dispatch cost.
   bool uop_fastpath = true;
-  /// Cached blocks per executor before the block cache flushes.
-  uint32_t uop_cache_blocks = 4096;
 };
 
 struct Snapshot;

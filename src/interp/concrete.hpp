@@ -108,11 +108,8 @@ class ConcreteMachine {
 class Iss {
  public:
   Iss(const isa::Decoder& decoder, const spec::Registry& registry,
-      bool uop_fastpath = true, uint32_t uop_cache_blocks = 4096)
-      : decoder_(decoder),
-        registry_(registry),
-        uop_fastpath_(uop_fastpath),
-        cache_(uop_cache_blocks) {
+      bool uop_fastpath = true)
+      : decoder_(decoder), registry_(registry), uop_fastpath_(uop_fastpath) {
     if (uop_fastpath_) machine_.store_watch_ = &cache_;
   }
 

@@ -47,45 +47,41 @@ uint64_t apply(ExprRef node, const uint64_t* op) {
   return 0;
 }
 
-// The memo keys on the structural content hash, which the interning context
-// makes equivalent to keying on the node id (one node per structure): two
-// nodes with equal hashes are structurally equal and thus evaluate
-// identically under any fixed assignment.
-void evaluate_into(ExprRef root, const Assignment& assignment,
-                   std::unordered_map<uint64_t, uint64_t>& memo) {
+// The memo keys on the node's address, never on its content hash:
+// satisfies() is the persistent store's guard against hash collisions, so
+// it must not rest on hash uniqueness itself.
+using Memo = std::unordered_map<ExprRef, uint64_t>;
+
+void evaluate_into(ExprRef root, const Assignment& assignment, Memo& memo) {
   postorder(root, [&](ExprRef node) {
-    if (memo.count(node->hash)) return;
+    if (memo.count(node)) return;
     uint64_t result;
     if (node->kind == Kind::kVar) {
       result = truncate(assignment.get(node->var_id), node->width);
     } else {
       uint64_t op[3] = {0, 0, 0};
       for (unsigned i = 0; i < node->num_ops; ++i)
-        op[i] = memo.at(node->ops[i]->hash);
+        op[i] = memo.at(node->ops[i]);
       result = apply(node, op);
     }
-    memo.emplace(node->hash, result);
+    memo.emplace(node, result);
   });
 }
 
 }  // namespace
 
 uint64_t evaluate(ExprRef root, const Assignment& assignment) {
-  std::unordered_map<uint64_t, uint64_t> memo;
+  Memo memo;
   evaluate_into(root, assignment, memo);
-  return memo.at(root->hash);
-}
-
-uint64_t CachingEvaluator::evaluate(ExprRef root) {
-  if (auto it = memo_.find(root->hash); it != memo_.end()) return it->second;
-  evaluate_into(root, assignment_, memo_);
-  return memo_.at(root->hash);
+  return memo.at(root);
 }
 
 bool satisfies(std::span<const ExprRef> assertions, const Assignment& model) {
-  CachingEvaluator eval(model);
-  for (ExprRef assertion : assertions)
-    if (eval.evaluate(assertion) != 1) return false;
+  Memo memo;
+  for (ExprRef assertion : assertions) {
+    evaluate_into(assertion, model, memo);
+    if (memo.at(assertion) != 1) return false;
+  }
   return true;
 }
 

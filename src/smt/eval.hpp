@@ -1,9 +1,9 @@
 // Concrete evaluation of expression DAGs under a variable assignment.
 //
-// Used by (a) the concolic interpreter to keep concrete shadows of symbolic
-// values, (b) model validation in tests ("is the model returned by the
-// solver actually a solution?") and (c) the differential properties that
-// check the simplifier and the bit-blaster against Z3.
+// Used by (a) model validation — ValidatingSolver checks every sat model
+// and the engine checks every persistent-store hit with satisfies() — and
+// (b) the tests' differential properties that check the simplifier, the
+// bit-blaster and Z3 against it.
 #pragma once
 
 #include <cstdint>
@@ -33,24 +33,9 @@ uint64_t evaluate(ExprRef root, const Assignment& assignment);
 
 /// True when every (width-1) assertion evaluates to 1 under `model` — the
 /// one model check: solver-model validation and persistent-store hits both
-/// use it. Subterms shared between assertions are evaluated once.
+/// use it. Subterms shared between assertions are evaluated once; the memo
+/// keys on node identity, so even two nodes with colliding content hashes
+/// are evaluated apart.
 bool satisfies(std::span<const ExprRef> assertions, const Assignment& model);
-
-/// Evaluator with a persistent memo table, for callers that evaluate many
-/// roots over one fixed assignment (e.g. a whole path condition). The memo
-/// keys on the arena's structural content hash; distinct structures never
-/// alias (equal hashes imply equal structure, pinned by
-/// test_smt_property.cpp).
-class CachingEvaluator {
- public:
-  explicit CachingEvaluator(const Assignment& assignment)
-      : assignment_(assignment) {}
-
-  uint64_t evaluate(ExprRef root);
-
- private:
-  const Assignment& assignment_;
-  std::unordered_map<uint64_t, uint64_t> memo_;
-};
 
 }  // namespace binsym::smt

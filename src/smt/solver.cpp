@@ -105,17 +105,13 @@ CheckResult FailoverSolver::rescue(std::span<const ExprRef> assumptions,
   } catch (const std::exception&) {
     result = CheckResult::kUnknown;
   }
-  if (result != CheckResult::kUnknown) {
-    ++rescues_;
-    last_rescued_ = true;
-  }
+  if (result != CheckResult::kUnknown) ++rescues_;
   return result;
 }
 
 CheckResult FailoverSolver::check(std::span<const ExprRef> assertions,
                                   Assignment* model) {
   ++logical_queries_;
-  last_rescued_ = false;
   CheckResult result = CheckResult::kUnknown;
   try {
     result = inner_->check(assertions, model);
@@ -137,7 +133,6 @@ CheckResult FailoverSolver::check(std::span<const ExprRef> assertions,
 CheckResult FailoverSolver::check_assuming(std::span<const ExprRef> assumptions,
                                            Assignment* model) {
   ++logical_queries_;
-  last_rescued_ = false;
   CheckResult result = CheckResult::kUnknown;
   try {
     result = inner_->check_assuming(assumptions, model);

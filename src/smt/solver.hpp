@@ -120,9 +120,7 @@ class Solver {
   /// e.g. "z3+validate").
   virtual std::string name() const = 0;
 
-  /// Backend that decided the most recent definitive check — name() for a
-  /// plain backend, the rescuing secondary after a failover; wrappers
-  /// forward. The persistent store records it per query.
+  /// Kept only because perfbench/tracing.hpp overrides it.
   virtual std::string last_backend() const { return name(); }
 
   /// Counters accumulated so far (see SolverStats).
@@ -145,8 +143,8 @@ std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
 
 /// Base for wrappers over one inner solver: push/pop/assert_ mirror the
 /// scope into the base class (so scoped_assertions() stays valid) and
-/// forward it, and the deadline and last_backend() forward to the inner
-/// solver. Subclasses implement check() and check_assuming().
+/// forward it, and the deadline forwards to the inner solver. Subclasses
+/// implement check() and check_assuming().
 class ForwardingSolver : public Solver {
  public:
   explicit ForwardingSolver(std::unique_ptr<Solver> inner)
@@ -164,7 +162,6 @@ class ForwardingSolver : public Solver {
     Solver::assert_(assertion);
     inner_->assert_(assertion);
   }
-  std::string last_backend() const override { return inner_->last_backend(); }
   void set_deadline_ms(uint32_t ms) override {
     Solver::set_deadline_ms(ms);
     inner_->set_deadline_ms(ms);
@@ -216,12 +213,6 @@ class FailoverSolver final : public ForwardingSolver {
   CheckResult check_assuming(std::span<const ExprRef> assumptions,
                              Assignment* model) override;
   std::string name() const override { return inner_->name() + "+failover"; }
-  /// The backend that actually decided the last check: the secondary when
-  /// that check was rescued, the primary otherwise.
-  std::string last_backend() const override {
-    return last_rescued_ && secondary_ ? secondary_->last_backend()
-                                       : inner_->last_backend();
-  }
   void set_deadline_ms(uint32_t ms) override {
     ForwardingSolver::set_deadline_ms(ms);
     if (secondary_) secondary_->set_deadline_ms(ms);
@@ -237,7 +228,6 @@ class FailoverSolver final : public ForwardingSolver {
   std::unique_ptr<Solver> secondary_;  // built on first rescue
   uint64_t rescues_ = 0;
   uint64_t logical_queries_ = 0;  // checks as the caller sees them
-  bool last_rescued_ = false;     // last decided check came from secondary_
 };
 
 /// Deterministic failure injection at the solver boundary (see

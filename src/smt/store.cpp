@@ -1,6 +1,5 @@
 #include "smt/store.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -150,8 +149,6 @@ std::string SolverStore::serialize() const {
     for (uint64_t hash : key) put_u64(out, hash);
     out.push_back(entry.verdict == CheckResult::kSat ? 1 : 0);
     put_u32(out, entry.var_count);
-    put_string(out, entry.backend);
-    put_u64(out, std::bit_cast<uint64_t>(entry.solve_seconds));
     put_u32(out, static_cast<uint32_t>(entry.model.size()));
     for (const auto& [name, value] : entry.model) {
       put_string(out, name);
@@ -195,8 +192,6 @@ bool SolverStore::deserialize(const std::string& bytes, std::string* error) {
     entry.verdict =
         bytes[r.pos++] ? CheckResult::kSat : CheckResult::kUnsat;
     entry.var_count = r.u32();
-    entry.backend = r.str();
-    entry.solve_seconds = std::bit_cast<double>(r.u64());
     const uint32_t model_size = r.u32();
     if (!r.ok || !plausible(r, model_size, 12)) return fail("oversized model");
     entry.model.resize(model_size);

@@ -3,7 +3,7 @@
 // The QueryCache (cache.hpp) keys a query by the sorted content hashes of
 // its assertions — stable across contexts and across process restarts.
 // That makes the cache's keyspace durable: this store maps the same keys to
-// {verdict, model, winning backend, solve time} in a single file, so a
+// {verdict, model, variable count} in a single file, so a
 // second exploration of the same target starts with every previously solved
 // query already answered.
 //
@@ -39,10 +39,6 @@ class SolverStore {
     CheckResult verdict = CheckResult::kUnknown;
     /// Model by (variable name, canonical value); meaningful for kSat.
     std::vector<std::pair<std::string, uint64_t>> model;
-    /// Backend that decided the query (Solver::last_backend()).
-    std::string backend;
-    /// Wall seconds the deciding check took when first solved.
-    double solve_seconds = 0;
     /// Distinct free variables in the query — a cheap discriminator against
     /// content-hash key collisions, stable across contexts, the intern
     /// toggle and restarts (unlike node counts, which depend on sharing).
@@ -53,7 +49,8 @@ class SolverStore {
   /// On-disk format version; bumped on any layout change. A file with a
   /// different version is ignored (cold start), not migrated.
   /// v2: entries carry the query's variable count as a collision check.
-  static constexpr uint32_t kFormatVersion = 2;
+  /// v3: entries no longer carry the deciding backend and solve time.
+  static constexpr uint32_t kFormatVersion = 3;
   static constexpr const char* kFileName = "store.bin";
 
   /// Open (and load) the store under `dir`, creating the directory if

@@ -5,9 +5,11 @@
 //       workload, explore with the pre-prover in differential mode (every
 //       statically-proven candidate still goes to the solver) and require
 //       zero proven-yet-sat mismatches;
-//   (b) behavior invariance: path sets and (oracle, pc, call-depth)
-//       finding triples are bit-identical with pruning on vs off, under
-//       dfs and coverage search and under 1 and 4 workers;
+//   (b) behavior invariance: on the detection workloads, path sets and
+//       (oracle, pc, call-depth) finding triples are bit-identical with
+//       pruning on vs off, under dfs and coverage search and under 1 and 4
+//       workers (the invariance matrix, test_invariance.cpp, does the same
+//       for the Table I programs);
 //   (c) the optimization exists: on the memory-safety detection workloads
 //       the pre-prover strictly reduces the candidates that reach the
 //       solver.
@@ -19,13 +21,13 @@
 
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "../bench/engines.hpp"
 #include "analysis/analysis.hpp"
 #include "asm/assembler.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "workloads/workloads.hpp"
 
 namespace binsym {
@@ -35,14 +37,6 @@ const char* kBuggyWorkloads[] = {
     "buggy-assert",      "buggy-div",       "buggy-jump-table",
     "buggy-overflow",    "buggy-stack-smash", "buggy-unaligned",
     "buggy-uri-parser",
-};
-
-using FindingTriple = std::tuple<uint8_t, uint32_t, uint32_t>;
-
-struct Exploration {
-  std::set<std::string> path_keys;     // branch-decision strings
-  std::set<FindingTriple> findings;    // (oracle, pc, call_depth)
-  core::EngineStats stats;
 };
 
 class AnalysisTest : public ::testing::Test {
@@ -58,10 +52,10 @@ class AnalysisTest : public ::testing::Test {
         setup.program, decoder, bench::make_memory_map("binsym", setup));
   }
 
-  Exploration explore(const bench::EngineSetup& setup,
-                      const analysis::StaticAnalysis& sa,
-                      bool prune, core::SearchKind search, unsigned jobs,
-                      uint64_t max_paths, bool differential = false) {
+  test::Exploration explore(const bench::EngineSetup& setup,
+                            const analysis::StaticAnalysis& sa, bool prune,
+                            core::SearchKind search, unsigned jobs,
+                            uint64_t max_paths, bool differential = false) {
     core::EngineOptions options;
     options.search = search;
     options.jobs = jobs;
@@ -71,20 +65,8 @@ class AnalysisTest : public ::testing::Test {
     // Hints are wired independently of pruning (as in explore.cpp), so the
     // coverage schedule is identical in both arms by construction.
     options.cfg_hints = sa.make_hints();
-    core::DseEngine dse(bench::make_worker_factory("binsym", setup, "all"),
-                        options);
-    Exploration result;
-    result.stats = dse.explore([&](const core::PathResult& path) {
-      std::string key;
-      key.reserve(path.trace.branches.size());
-      for (const core::BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      result.path_keys.insert(std::move(key));
-    });
-    for (const core::Finding& f : dse.findings())
-      result.findings.insert({static_cast<uint8_t>(f.oracle), f.pc,
-                              f.call_depth});
-    return result;
+    return test::explore(bench::make_worker_factory("binsym", setup, "all"),
+                         options);
   }
 
   isa::OpcodeTable table;
@@ -105,7 +87,7 @@ TEST_F(AnalysisTest, NoStaticallyProvenCandidateIsEverSat) {
     bench::EngineSetup setup{decoder, registry, program};
     analysis::StaticAnalysis sa = analyze(setup);
 
-    Exploration e = explore(setup, sa, /*prune=*/true,
+    test::Exploration e = explore(setup, sa, /*prune=*/true,
                             core::SearchKind::kDepthFirst, /*jobs=*/1,
                             /*max_paths=*/100, /*differential=*/true);
     // The one-line soundness contract: a statically-proven candidate must
@@ -132,14 +114,14 @@ TEST_F(AnalysisTest, PruningPreservesPathsAndFindingsAcrossSearchAndJobs) {
     bench::EngineSetup setup{decoder, registry, program};
     analysis::StaticAnalysis sa = analyze(setup);
 
-    Exploration reference =
+    test::Exploration reference =
         explore(setup, sa, false, core::SearchKind::kDepthFirst, 1,
                 UINT64_MAX);
     for (core::SearchKind search :
          {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
       for (unsigned jobs : {1u, 4u}) {
         for (bool prune : {false, true}) {
-          Exploration e =
+          test::Exploration e =
               explore(setup, sa, prune, search, jobs, UINT64_MAX);
           EXPECT_EQ(e.path_keys, reference.path_keys)
               << name << " search=" << static_cast<int>(search)
@@ -153,38 +135,6 @@ TEST_F(AnalysisTest, PruningPreservesPathsAndFindingsAcrossSearchAndJobs) {
   }
 }
 
-TEST_F(AnalysisTest, PruningPreservesCappedSequentialExploration) {
-  // Which paths a capped run reaches depends on the solver's models, and Z3
-  // models depend on the context's AST-creation history: with pruning off
-  // the engine translates extra oracle-candidate conditions, which shifts
-  // later flip models. So a capped path *set* is not comparable across
-  // prune on/off. Base64 (whose 25,000 candidates the query cache answers
-  // with pruning off), clif-parser, uri-parser and bubble-sort explore to
-  // exhaustion in about a second each, which makes their path set an
-  // invariant of the program; insertion (about 3 s) stays capped, and
-  // there only the path count and the findings are compared.
-  for (const workloads::WorkloadInfo& info : workloads::table1_workloads()) {
-    const std::string name = info.name;
-    const bool exhaust = name != "insertion-sort";
-    core::Program program = workloads::load_workload_or_exit(table, name);
-    bench::EngineSetup setup{decoder, registry, program};
-    analysis::StaticAnalysis sa = analyze(setup);
-
-    for (core::SearchKind search :
-         {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-      const uint64_t cap = exhaust ? UINT64_MAX : 60;
-      Exploration off = explore(setup, sa, false, search, 1, cap);
-      Exploration on = explore(setup, sa, true, search, 1, cap);
-      if (exhaust) {
-        EXPECT_EQ(on.path_keys, off.path_keys) << name;
-        EXPECT_EQ(off.stats.paths, info.paper_paths) << name;
-      }
-      EXPECT_EQ(on.findings, off.findings) << name;
-      EXPECT_EQ(on.stats.paths, off.stats.paths) << name;
-    }
-  }
-}
-
 // -- (c) The pre-prover actually removes solver work. ------------------------
 
 TEST_F(AnalysisTest, PruningStrictlyReducesSolverCandidates) {
@@ -194,9 +144,9 @@ TEST_F(AnalysisTest, PruningStrictlyReducesSolverCandidates) {
     analysis::StaticAnalysis sa = analyze(setup);
     ASSERT_TRUE(sa.absint.complete) << name;
 
-    Exploration off = explore(setup, sa, false,
+    test::Exploration off = explore(setup, sa, false,
                               core::SearchKind::kDepthFirst, 1, UINT64_MAX);
-    Exploration on = explore(setup, sa, true,
+    test::Exploration on = explore(setup, sa, true,
                              core::SearchKind::kDepthFirst, 1, UINT64_MAX);
     EXPECT_GT(on.stats.static_proved, 0u) << name;
     EXPECT_LT(on.stats.candidates_checked, off.stats.candidates_checked)

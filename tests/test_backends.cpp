@@ -25,8 +25,8 @@
 
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
-#include "core/search.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "smt/cache.hpp"
 #include "smt/context.hpp"
@@ -203,28 +203,6 @@ class BackendEngineTest : public ::testing::Test {
     };
   }
 
-  struct Exploration {
-    core::EngineStats stats;
-    std::set<std::string> path_keys;
-    std::multiset<uint32_t> failures;
-  };
-
-  Exploration explore(const core::Program& program,
-                      core::EngineOptions options) {
-    core::DseEngine dse(factory(program), options);
-    Exploration result;
-    result.stats = dse.explore([&](const core::PathResult& path) {
-      std::string key;
-      key.reserve(path.trace.branches.size());
-      for (const core::BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      result.path_keys.insert(key);
-      for (const core::Failure& f : path.trace.failures)
-        result.failures.insert(f.id);
-    });
-    return result;
-  }
-
   /// Solver checks that actually reached a backend: logical queries minus
   /// the ones the cache and the persistent store answered.
   static uint64_t backend_calls(const core::EngineStats& stats) {
@@ -332,7 +310,7 @@ TEST_F(BackendEngineTest, WarmStoreAnswersWithoutBackendCallsOrPathDrift) {
   core::EngineOptions options;
   options.solver_store = smt::SolverStore::open(store_dir);
   EXPECT_TRUE(options.solver_store->load_error().empty());
-  Exploration cold = explore(program, options);
+  test::Exploration cold = test::explore(factory(program), options);
   EXPECT_GT(cold.stats.store_misses, 0u);
   EXPECT_EQ(cold.stats.store_hits, 0u);
   EXPECT_GT(cold.stats.store_entries, 0u);
@@ -341,7 +319,7 @@ TEST_F(BackendEngineTest, WarmStoreAnswersWithoutBackendCallsOrPathDrift) {
   // A fresh process would reopen the flushed file exactly like this.
   options.solver_store = smt::SolverStore::open(store_dir);
   EXPECT_TRUE(options.solver_store->load_error().empty());
-  Exploration warm = explore(program, options);
+  test::Exploration warm = test::explore(factory(program), options);
   EXPECT_EQ(warm.path_keys, cold.path_keys);
   EXPECT_EQ(warm.failures, cold.failures);
   EXPECT_EQ(warm.stats.paths, cold.stats.paths);
@@ -380,8 +358,6 @@ std::string clobber_store_models(std::string bytes, uint64_t value) {
     pos += 4 + size_t{u32_at(pos)} * 8;  // key size + hashes
     pos += 1;                            // verdict
     pos += 4;                            // var_count (left intact)
-    pos += 4 + u32_at(pos);              // backend string
-    pos += 8;                            // solve seconds
     const uint32_t model_size = u32_at(pos);
     pos += 4;
     for (uint32_t m = 0; m < model_size; ++m) {
@@ -412,7 +388,7 @@ TEST_F(BackendEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
   core::Program program = load_asm(kThreeBranchGuest);
   core::EngineOptions options;
   options.solver_store = smt::SolverStore::open(store_dir);
-  Exploration cold = explore(program, options);
+  test::Exploration cold = test::explore(factory(program), options);
   EXPECT_GT(cold.stats.store_entries, 0u);
 
   const std::string file = options.solver_store->path();
@@ -432,7 +408,7 @@ TEST_F(BackendEngineTest, CollidingStoreEntriesNeverCorruptExploration) {
 
   options.solver_store = smt::SolverStore::open(store_dir);
   ASSERT_TRUE(options.solver_store->load_error().empty());  // checksum holds
-  Exploration warm = explore(program, options);
+  test::Exploration warm = test::explore(factory(program), options);
   EXPECT_EQ(warm.path_keys, cold.path_keys);
   EXPECT_EQ(warm.failures, cold.failures);
   EXPECT_EQ(warm.stats.paths, cold.stats.paths);
@@ -455,67 +431,11 @@ TEST_F(BackendEngineTest, InjectedUnknownsAreNeverPersisted) {
   options.fault_plan = support::FaultPlan::parse("solver@1+", &error);
   ASSERT_TRUE(options.fault_plan) << error;
   options.solver_store = smt::SolverStore::open(store_dir);
-  Exploration run = explore(program, options);
+  test::Exploration run = test::explore(factory(program), options);
   EXPECT_GT(run.stats.queries_unknown, 0u);
   EXPECT_EQ(run.stats.store_entries, 0u);
   EXPECT_EQ(smt::SolverStore::open(store_dir)->size(), 0u);
 }
-
-// -- Table I bit-identity sweep. ---------------------------------------------
-//
-// The store may only change cost, never meaning: across {store cold, warm} x
-// {dfs, coverage} x jobs {1, 4}, the discovered path set and failures must be
-// bit-identical to the store-less dfs/jobs=1 reference. One store directory
-// is shared by all configurations of a workload, so the first run is the
-// cold one and every later run is warm — which also proves warm answers
-// (models minted under a *different* search order or worker count) cause
-// zero path drift. Excluded from the sanitizer CI jobs like the other
-// full-workload sweeps.
-
-class StoreWorkloadIdentity
-    : public BackendEngineTest,
-      public ::testing::WithParamInterface<const char*> {};
-
-TEST_P(StoreWorkloadIdentity, PathSetInvariantAcrossStoreSearchJobs) {
-  core::Program program = workloads::load_workload(table, GetParam());
-  const std::string store_dir =
-      smt::fresh_dir(std::string("sweep-") + GetParam());
-
-  Exploration reference = explore(program, core::EngineOptions{});
-  EXPECT_GT(reference.stats.paths, 100u);
-  EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
-
-  bool cold = true;
-  for (core::SearchKind kind :
-       {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-    for (unsigned jobs : {1u, 4u}) {
-      core::EngineOptions options;
-      options.search = kind;
-      options.jobs = jobs;
-      options.solver_store = smt::SolverStore::open(store_dir);
-      ASSERT_TRUE(options.solver_store->load_error().empty());
-      Exploration run = explore(program, options);
-      const std::string label = std::string(core::search_kind_name(kind)) +
-                                " jobs=" + std::to_string(jobs) +
-                                (cold ? " (cold)" : " (warm)");
-      EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
-      EXPECT_EQ(run.path_keys, reference.path_keys) << label;
-      EXPECT_EQ(run.failures, reference.failures) << label;
-      if (cold) {
-        EXPECT_EQ(run.stats.store_hits, 0u) << label;
-        EXPECT_GT(run.stats.store_entries, 0u) << label;
-      } else {
-        EXPECT_GT(run.stats.store_hits, 0u) << label;
-      }
-      cold = false;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, StoreWorkloadIdentity,
-                         ::testing::Values("base64-encode", "bubble-sort",
-                                           "clif-parser", "insertion-sort",
-                                           "uri-parser"));
 
 }  // namespace
 }  // namespace binsym
@@ -531,12 +451,10 @@ QueryCache::Key key_of(std::initializer_list<uint64_t> hashes) {
   return key;
 }
 
-SolverStore::Entry sat_entry(std::string backend = "z3") {
+SolverStore::Entry sat_entry(uint64_t first_value = 42) {
   SolverStore::Entry entry;
   entry.verdict = CheckResult::kSat;
-  entry.model = {{"sym_input_0", 42}, {"sym_input_1", 7}};
-  entry.backend = std::move(backend);
-  entry.solve_seconds = 0.125;
+  entry.model = {{"sym_input_0", first_value}, {"sym_input_1", 7}};
   entry.var_count = 2;
   return entry;
 }
@@ -550,8 +468,6 @@ TEST(SolverStoreTest, RoundTripsThroughTheBackingFile) {
     store->insert(key_of({1, 2, 3}), sat_entry());
     SolverStore::Entry unsat;
     unsat.verdict = CheckResult::kUnsat;
-    unsat.backend = "bitblast+cdcl";
-    unsat.solve_seconds = 2.5;
     store->insert(key_of({0xdeadbeef}), unsat);
     EXPECT_EQ(store->size(), 2u);
     EXPECT_TRUE(store->flush());
@@ -563,8 +479,6 @@ TEST(SolverStoreTest, RoundTripsThroughTheBackingFile) {
   SolverStore::Entry entry;
   ASSERT_TRUE(reopened->lookup(key_of({3, 1, 2}), &entry));  // order-blind key
   EXPECT_EQ(entry.verdict, CheckResult::kSat);
-  EXPECT_EQ(entry.backend, "z3");
-  EXPECT_EQ(entry.solve_seconds, 0.125);
   EXPECT_EQ(entry.var_count, 2u);
   ASSERT_EQ(entry.model.size(), 2u);
   EXPECT_EQ(entry.model[0], (std::pair<std::string, uint64_t>{"sym_input_0", 42}));
@@ -583,11 +497,11 @@ TEST(SolverStoreTest, UnknownIsNeverAdmittedAndFirstVerdictWins) {
   store->insert(key_of({5}), unknown);
   EXPECT_EQ(store->size(), 0u);
 
-  store->insert(key_of({5}), sat_entry("first"));
-  store->insert(key_of({5}), sat_entry("second"));
+  store->insert(key_of({5}), sat_entry(1));
+  store->insert(key_of({5}), sat_entry(2));
   SolverStore::Entry entry;
   ASSERT_TRUE(store->lookup(key_of({5}), &entry));
-  EXPECT_EQ(entry.backend, "first");
+  EXPECT_EQ(entry.model, sat_entry(1).model);
   EXPECT_EQ(store->size(), 1u);
 }
 
@@ -602,7 +516,7 @@ TEST(SolverStoreTest, VarCountMismatchIsServedAsAMiss) {
   SolverStore::Entry out;
   EXPECT_FALSE(store->lookup(key_of({77}), /*var_count=*/3, &out));
   EXPECT_TRUE(store->lookup(key_of({77}), /*var_count=*/2, &out));
-  EXPECT_EQ(out.backend, "z3");
+  EXPECT_EQ(out.model, sat_entry().model);
   EXPECT_EQ(store->hits(), 1u);
   EXPECT_EQ(store->misses(), 1u);  // the collision counted as a miss
 }
@@ -622,7 +536,6 @@ class SolverStoreCorruption : public ::testing::Test {
     store->insert(key_of({11, 22}), sat_entry());
     SolverStore::Entry unsat;
     unsat.verdict = CheckResult::kUnsat;
-    unsat.backend = "z3";
     store->insert(key_of({33}), unsat);
     ASSERT_TRUE(store->flush());
     file_ = store->path();

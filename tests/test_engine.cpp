@@ -8,6 +8,7 @@
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "spec/registry.hpp"
 
@@ -117,10 +118,7 @@ y:
   uint64_t count = 0;
   explore(load(source), [&](const core::PathResult& path) {
     ++count;
-    // Identify the path by its branch-decision string.
-    std::string key;
-    for (const core::BranchRecord& b : path.trace.branches)
-      key += b.taken ? '1' : '0';
+    std::string key = test::path_key(path.trace);
     EXPECT_TRUE(outputs.insert(key).second) << "duplicate path " << key;
   });
   EXPECT_EQ(outputs.size(), count);

@@ -16,6 +16,7 @@
 
 #include "baseline/ir_exec.hpp"
 #include "core/engine.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "oracles/manager.hpp"
 #include "smt/solver.hpp"
@@ -285,7 +286,9 @@ TEST_P(AssertionStack, SiblingTracesReassertOnlyWhatTheyDoNotShare) {
   // stack keeps it asserted from one trace to the next (clif-parser has a
   // single solving trace, so nothing to share).
   EXPECT_LE(asserts, per_trace_asserts);
-  if (solving_traces > 1) EXPECT_LT(asserts, per_trace_asserts);
+  if (solving_traces > 1) {
+    EXPECT_LT(asserts, per_trace_asserts);
+  }
   EXPECT_EQ(stats.solver.incremental_checks, param.incremental_checks);
   EXPECT_EQ(stats.solver.reused_assertions, param.reused_assertions);
 }
@@ -309,10 +312,7 @@ TEST_F(IntegrationTest, AssertionStackIsEmptyAfterEveryExploration) {
   auto explore_keys = [](core::DseEngine& engine) {
     std::set<std::string> keys;
     engine.explore([&](const core::PathResult& path) {
-      std::string key;
-      for (const core::BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      keys.insert(key);
+      keys.insert(test::path_key(path.trace));
     });
     return keys;
   };

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "oracles/detectors.hpp"
 #include "oracles/manager.hpp"
@@ -281,10 +282,7 @@ TEST_F(OracleTest, ObserversDoNotChangeExploredPathSets) {
                              core::EngineOptions{});
       std::set<std::string> keys;
       engine.explore([&](const core::PathResult& path) {
-        std::string key;
-        for (const core::BranchRecord& b : path.trace.branches)
-          key += b.taken ? '1' : '0';
-        keys.insert(key);
+        keys.insert(test::path_key(path.trace));
       });
       return keys;
     };

@@ -1,7 +1,7 @@
 // Tests for the parallel exploration engine: SearchStrategy implementations,
-// the thread-safe Frontier, portable FlipJob seeds, worker-pool vs
-// sequential equivalence, and the Table I determinism property (identical
-// path sets across every strategy and across worker counts).
+// the thread-safe Frontier, portable FlipJob seeds and worker-pool vs
+// sequential equivalence. The Table I path sets across every strategy and
+// worker count are pinned by the invariance matrix (test_invariance.cpp).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,9 +12,9 @@
 #include "core/frontier.hpp"
 #include "core/search.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "spec/registry.hpp"
-#include "workloads/workloads.hpp"
 
 namespace binsym {
 namespace {
@@ -176,36 +176,19 @@ class ParallelEngineTest : public ::testing::Test {
     };
   }
 
-  struct Exploration {
-    uint64_t paths = 0;
-    std::set<std::string> path_keys;   // branch-decision strings
-    std::multiset<uint32_t> failures;  // failure ids across all paths
-  };
-
-  Exploration explore(const core::Program& program, SearchKind kind,
-                      unsigned jobs, uint64_t max_paths = UINT64_MAX) {
+  /// Explore with `kind` and `jobs`; every run must enumerate each path
+  /// once and report `jobs` workers.
+  test::Exploration explore(const core::Program& program, SearchKind kind,
+                            unsigned jobs, uint64_t max_paths = UINT64_MAX) {
     core::EngineOptions options;
     options.search = kind;
     options.jobs = jobs;
     options.max_paths = max_paths;
-    core::DseEngine engine(factory_for(program), options);
-    Exploration result;
-    std::set<std::string> duplicate_guard;
-    core::EngineStats stats =
-        engine.explore([&](const core::PathResult& path) {
-          std::string key;
-          key.reserve(path.trace.branches.size());
-          for (const core::BranchRecord& b : path.trace.branches)
-            key += b.taken ? '1' : '0';
-          EXPECT_TRUE(duplicate_guard.insert(key).second)
-              << "path " << key << " enumerated twice";
-          result.path_keys.insert(key);
-          for (const core::Failure& f : path.trace.failures)
-            result.failures.insert(f.id);
-        });
-    result.paths = stats.paths;
-    EXPECT_EQ(stats.workers, jobs);
-    return result;
+    test::Exploration run = test::explore(factory_for(program), options);
+    EXPECT_EQ(run.path_keys.size(), run.stats.paths)
+        << "a path was enumerated twice";
+    EXPECT_EQ(run.stats.workers, jobs);
+    return run;
   }
 
   isa::OpcodeTable table;
@@ -244,14 +227,15 @@ buf: .space 3
 
 TEST_F(ParallelEngineTest, WorkerPoolMatchesSequentialExploration) {
   core::Program program = load(kGuardedFailureGuest);
-  Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
-  EXPECT_GE(reference.paths, 4u);
+  test::Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
+  EXPECT_GE(reference.stats.paths, 4u);
   // The failure site precedes two more branch sites, so the failing prefix
   // forks into several complete paths, each reporting id 7.
   EXPECT_GE(reference.failures.count(7), 1u);
   for (unsigned jobs : {2u, 4u}) {
-    Exploration parallel = explore(program, SearchKind::kDepthFirst, jobs);
-    EXPECT_EQ(parallel.paths, reference.paths) << jobs << " jobs";
+    test::Exploration parallel =
+        explore(program, SearchKind::kDepthFirst, jobs);
+    EXPECT_EQ(parallel.stats.paths, reference.stats.paths) << jobs << " jobs";
     EXPECT_EQ(parallel.path_keys, reference.path_keys) << jobs << " jobs";
     EXPECT_EQ(parallel.failures, reference.failures) << jobs << " jobs";
   }
@@ -261,17 +245,17 @@ TEST_F(ParallelEngineTest, IdleWorkersMatchSequentialExploration) {
   // Fewer paths than workers: some workers never get a job and never build
   // a Z3 context, and the rest build theirs concurrently on their threads.
   core::Program program = load(kGuardedFailureGuest);
-  Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
-  ASSERT_LT(reference.paths, 8u);
-  Exploration parallel = explore(program, SearchKind::kDepthFirst, 8);
+  test::Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
+  ASSERT_LT(reference.stats.paths, 8u);
+  test::Exploration parallel = explore(program, SearchKind::kDepthFirst, 8);
   EXPECT_EQ(parallel.path_keys, reference.path_keys);
   EXPECT_EQ(parallel.failures, reference.failures);
 }
 
 TEST_F(ParallelEngineTest, MaxPathsBudgetIsExactUnderParallelism) {
   core::Program program = load(kGuardedFailureGuest);
-  Exploration bounded = explore(program, SearchKind::kDepthFirst, 4, 3);
-  EXPECT_EQ(bounded.paths, 3u);
+  test::Exploration bounded = explore(program, SearchKind::kDepthFirst, 4, 3);
+  EXPECT_EQ(bounded.stats.paths, 3u);
 }
 
 TEST_F(ParallelEngineTest, JobsAboveOneRequireWorkerFactory) {
@@ -283,46 +267,6 @@ TEST_F(ParallelEngineTest, JobsAboveOneRequireWorkerFactory) {
   core::DseEngine engine(executor, smt::make_z3_solver(ctx), options);
   EXPECT_THROW(engine.explore(), std::invalid_argument);
 }
-
-// -- Determinism across strategies and worker counts (Table I). -------------
-//
-// The exploration tree of the offline engine is a function of the program
-// alone, so every strategy and every worker count must discover the same
-// path *set* — only discovery order may differ. This is the property that
-// keeps Table I reproduction intact under the parallel engine.
-
-class WorkloadDeterminism : public ParallelEngineTest,
-                            public ::testing::WithParamInterface<const char*> {
-};
-
-TEST_P(WorkloadDeterminism, PathSetInvariantAcrossStrategiesAndJobs) {
-  core::Program program = workloads::load_workload(table, GetParam());
-  Exploration reference = explore(program, SearchKind::kDepthFirst, 1);
-  for (const workloads::WorkloadInfo& info : workloads::table1_workloads()) {
-    if (info.name == GetParam()) {
-      EXPECT_EQ(reference.paths, info.paper_paths) << "Table I count";
-    }
-  }
-  EXPECT_EQ(reference.paths, reference.path_keys.size());
-
-  for (SearchKind kind : core::all_search_kinds()) {
-    for (unsigned jobs : {1u, 4u}) {
-      if (kind == SearchKind::kDepthFirst && jobs == 1) continue;  // reference
-      Exploration run = explore(program, kind, jobs);
-      EXPECT_EQ(run.paths, reference.paths)
-          << core::search_kind_name(kind) << " with " << jobs << " jobs";
-      EXPECT_EQ(run.path_keys, reference.path_keys)
-          << core::search_kind_name(kind) << " with " << jobs << " jobs";
-      EXPECT_EQ(run.failures, reference.failures)
-          << core::search_kind_name(kind) << " with " << jobs << " jobs";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, WorkloadDeterminism,
-                         ::testing::Values("base64-encode", "bubble-sort",
-                                           "clif-parser", "insertion-sort",
-                                           "uri-parser"));
 
 }  // namespace
 }  // namespace binsym

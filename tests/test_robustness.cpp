@@ -14,6 +14,7 @@
 #include "core/engine.hpp"
 #include "core/search.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "smt/solver.hpp"
 #include "spec/registry.hpp"
@@ -132,10 +133,7 @@ class RobustnessTest : public ::testing::Test {
   std::set<std::string> explore(DseEngine& engine, EngineStats* stats_out) {
     std::set<std::string> keys;
     EngineStats stats = engine.explore([&](const PathResult& path) {
-      std::string key;
-      for (const BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      keys.insert(key);
+      keys.insert(test::path_key(path.trace));
     });
     if (stats_out) *stats_out = stats;
     return keys;

@@ -1,8 +1,8 @@
 // Tests for constraint-independence slicing: the union-find partition
 // (single group, disjoint groups, assumption-linked groups), slice contents,
 // model restriction and cache-key collapse of sibling flips. The
-// engine-level invariant (Table I path sets and counts) is pinned by
-// WorkloadDeterminism in test_parallel.cpp.
+// engine-level invariant (Table I path sets and counts) is pinned by the
+// invariance matrix in test_invariance.cpp.
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"

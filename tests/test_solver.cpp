@@ -303,6 +303,22 @@ TEST(Satisfies, ChecksEveryAssertionUnderTheModel) {
   EXPECT_TRUE(satisfies({}, Assignment{}));
 }
 
+TEST(Satisfies, TellsApartDistinctNodesThatShareAHash) {
+  // A content-hash collision: two nodes, one hash. satisfies() is the
+  // store's guard against exactly that, so its memo must not merge them.
+  Expr one{};
+  one.kind = Kind::kConst;
+  one.width = 1;
+  one.id = 0;
+  one.hash = 0x5eed;
+  one.constant = 1;
+  Expr zero = one;
+  zero.id = 1;
+  zero.constant = 0;
+  const std::vector<ExprRef> query = {&one, &zero};
+  EXPECT_FALSE(satisfies(query, Assignment{}));
+}
+
 TEST(Assignment, DefaultsToZero) {
   Assignment a;
   EXPECT_EQ(a.get(123), 0u);

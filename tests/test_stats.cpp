@@ -9,6 +9,7 @@
 #include "core/engine.hpp"
 #include "core/stats.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "spec/registry.hpp"
@@ -108,10 +109,7 @@ TEST_F(StatsTest, BfsAndDfsEnumerateTheSamePaths) {
     DseEngine engine(executor, smt::make_z3_solver(ctx), options);
     std::set<std::string> keys;
     engine.explore([&](const PathResult& path) {
-      std::string key;
-      for (const BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      keys.insert(key);
+      keys.insert(test::path_key(path.trace));
     });
     return keys;
   };

@@ -2,20 +2,21 @@
 // uop_run.hpp): lowering units, BlockCache store-invalidation/poisoning,
 // randomized differential execution (fast path vs spec path vs the golden
 // oracle, for both the concrete and the taint interpreter), a pinned
-// self-modifying-code guest, and the engine-level bit-identity sweep — the
-// fast path may only change cost, never the explored path set or the
-// reported findings.
+// self-modifying-code guest and the engine-level stats. That the fast path
+// changes only cost, never the Table I path sets, is pinned by the
+// invariance matrix (test_invariance.cpp).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "../bench/engines.hpp"
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
-#include "core/finding.hpp"
 #include "core/stats.hpp"
 #include "elf/elf32.hpp"
+#include "exploration_util.hpp"
 #include "interp/block_cache.hpp"
 #include "interp/concrete.hpp"
 #include "interp/taint.hpp"
@@ -23,7 +24,6 @@
 #include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
 #include "oracle/rv32_oracle.hpp"
-#include "oracles/manager.hpp"
 #include "spec/registry.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
@@ -526,7 +526,7 @@ patch:
   EXPECT_EQ(slow.invalidations, 0u);
 }
 
-// -- Engine level: stats plumbing and the bit-identity sweep. ----------------
+// -- Engine level: stats plumbing and worker-private caches. ----------------
 
 class UopEngineTest : public ::testing::Test {
  protected:
@@ -543,53 +543,9 @@ class UopEngineTest : public ::testing::Test {
   core::WorkerFactory factory(const core::Program& program,
                               core::MachineConfig mconfig,
                               const std::string& oracles_spec = "") {
-    return [this, &program, mconfig, oracles_spec](unsigned) {
-      core::WorkerResources r;
-      r.ctx = std::make_unique<smt::Context>();
-      r.executor = std::make_unique<core::BinSymExecutor>(
-          *r.ctx, decoder, registry, program, mconfig);
-      r.solver = smt::make_z3_solver(*r.ctx);
-      if (!oracles_spec.empty()) {
-        std::string error;
-        auto manager = oracles::OracleManager::make(
-            *r.ctx,
-            oracles::MemoryMap::for_program(program,
-                                            core::MachineConfig{}.stack_top),
-            oracles_spec, &error);
-        EXPECT_TRUE(manager) << error;
-        r.executor->set_observer(manager.get());
-        struct Keep {
-          std::unique_ptr<oracles::OracleManager> manager;
-        };
-        auto keep = std::make_shared<Keep>();
-        keep->manager = std::move(manager);
-        r.keepalive = std::move(keep);
-      }
-      return r;
-    };
-  }
-
-  struct Exploration {
-    core::EngineStats stats;
-    std::set<std::string> path_keys;
-    std::multiset<uint32_t> failures;
-  };
-
-  Exploration explore(const core::Program& program,
-                      core::MachineConfig mconfig,
-                      core::EngineOptions options) {
-    core::DseEngine dse(factory(program, mconfig), options);
-    Exploration result;
-    result.stats = dse.explore([&](const core::PathResult& path) {
-      std::string key;
-      key.reserve(path.trace.branches.size());
-      for (const core::BranchRecord& b : path.trace.branches)
-        key += b.taken ? '1' : '0';
-      result.path_keys.insert(key);
-      for (const core::Failure& f : path.trace.failures)
-        result.failures.insert(f.id);
-    });
-    return result;
+    return bench::make_worker_factory(
+        "binsym", bench::EngineSetup{decoder, registry, program, mconfig},
+        oracles_spec);
   }
 
   isa::OpcodeTable table;
@@ -626,7 +582,7 @@ buf: .space 3
 TEST_F(UopEngineTest, StatsCollectFastPathCounters) {
   core::Program program = load_asm(kThreeBranchGuest);
   core::MachineConfig on;  // uop_fastpath defaults to true
-  Exploration with_uop = explore(program, on, {});
+  test::Exploration with_uop = test::explore(factory(program, on));
   EXPECT_GT(with_uop.stats.uop_blocks_compiled, 0u);
   EXPECT_GT(with_uop.stats.uop_cache_hits, 0u);
   std::string report = core::engine_stats_report(with_uop.stats);
@@ -634,7 +590,7 @@ TEST_F(UopEngineTest, StatsCollectFastPathCounters) {
 
   core::MachineConfig off;
   off.uop_fastpath = false;
-  Exploration without = explore(program, off, {});
+  test::Exploration without = test::explore(factory(program, off));
   EXPECT_EQ(without.stats.uop_blocks_compiled, 0u);
   EXPECT_EQ(without.stats.uop_cache_hits, 0u);
   EXPECT_EQ(without.stats.uop_guard_bails, 0u);
@@ -654,15 +610,9 @@ TEST_F(UopEngineTest, FindingTriplesIdenticalWithFastPathOnAndOff) {
     auto campaign = [&](bool uop_fastpath) {
       core::MachineConfig mconfig;
       mconfig.uop_fastpath = uop_fastpath;
-      core::DseEngine dse(factory(program, mconfig, "all"),
-                          core::EngineOptions{});
-      dse.explore();
-      std::multiset<uint64_t> keys;
-      for (const core::Finding& f : dse.findings())
-        keys.insert(core::finding_key(f.oracle, f.pc, f.call_depth));
-      return keys;
+      return test::explore(factory(program, mconfig, "all")).findings;
     };
-    std::multiset<uint64_t> with_uop = campaign(true);
+    std::set<uint64_t> with_uop = campaign(true);
     EXPECT_FALSE(with_uop.empty()) << name;
     EXPECT_EQ(with_uop, campaign(false)) << name;
   }
@@ -678,72 +628,15 @@ TEST_F(UopParallel, WorkerPrivateCachesExploreIdenticallyAcrossJobs) {
   core::MachineConfig mconfig;
   core::EngineOptions one;
   one.jobs = 1;
-  Exploration sequential = explore(program, mconfig, one);
+  test::Exploration sequential = test::explore(factory(program, mconfig), one);
   EXPECT_GT(sequential.stats.uop_blocks_compiled, 0u);
 
   core::EngineOptions four;
   four.jobs = 4;
-  Exploration parallel = explore(program, mconfig, four);
+  test::Exploration parallel = test::explore(factory(program, mconfig), four);
   EXPECT_EQ(parallel.path_keys, sequential.path_keys);
   EXPECT_GT(parallel.stats.uop_blocks_compiled, 0u);
 }
-
-// -- Table I bit-identity sweep. ---------------------------------------------
-//
-// The fast path may only change cost: across search strategies and worker
-// counts, the discovered path set and failures must be
-// bit-identical with the micro-op fast path on and off. This is the
-// acceptance bar of the subsystem (and what keeps Table I reproduction
-// intact). Excluded from the sanitizer CI jobs like the other
-// full-workload determinism sweeps.
-
-class UopWorkloadIdentity : public UopEngineTest,
-                            public ::testing::WithParamInterface<const char*> {
-};
-
-TEST_P(UopWorkloadIdentity, PathSetInvariantAcrossFastPathStrategiesJobs) {
-  core::Program program = workloads::load_workload(table, GetParam());
-
-  core::MachineConfig reference_config;
-  reference_config.uop_fastpath = false;
-  Exploration reference = explore(program, reference_config, {});
-  EXPECT_GT(reference.stats.paths, 100u);
-  EXPECT_EQ(reference.stats.paths, reference.path_keys.size());
-
-  bool saw_fast_path_work = false;
-  for (bool uop : {true, false}) {
-    for (core::SearchKind kind :
-         {core::SearchKind::kDepthFirst, core::SearchKind::kCoverageGuided}) {
-      for (unsigned jobs : {1u, 4u}) {
-        if (!uop && kind == core::SearchKind::kDepthFirst && jobs == 1)
-          continue;  // the reference configuration
-        core::MachineConfig mconfig;
-        mconfig.uop_fastpath = uop;
-        core::EngineOptions options;
-        options.search = kind;
-        options.jobs = jobs;
-        Exploration run = explore(program, mconfig, options);
-        std::string label = std::string(uop ? "uop" : "spec") + " " +
-                            core::search_kind_name(kind) +
-                            " jobs=" + std::to_string(jobs);
-        EXPECT_EQ(run.stats.paths, reference.stats.paths) << label;
-        EXPECT_EQ(run.path_keys, reference.path_keys) << label;
-        EXPECT_EQ(run.failures, reference.failures) << label;
-        if (uop) {
-          saw_fast_path_work |= run.stats.uop_blocks_compiled > 0;
-        } else {
-          EXPECT_EQ(run.stats.uop_blocks_compiled, 0u) << label;
-        }
-      }
-    }
-  }
-  EXPECT_TRUE(saw_fast_path_work);
-}
-
-INSTANTIATE_TEST_SUITE_P(Table1, UopWorkloadIdentity,
-                         ::testing::Values("base64-encode", "bubble-sort",
-                                           "clif-parser", "insertion-sort",
-                                           "uri-parser"));
 
 }  // namespace
 }  // namespace binsym

@@ -159,8 +159,8 @@ def check_robustness_doc(explore_binary):
     not a hardcoded list in this checker."""
     doc = (REPO / "docs" / "ROBUSTNESS.md").read_text(encoding="utf-8")
     errors = []
-    for flag in ("--solver", "--query-timeout-ms", "--no-failover",
-                 "--deadline-secs", "--memory-budget-mb", "--fault-inject"):
+    for flag in ("--solver", "--query-timeout-ms", "--deadline-secs",
+                 "--memory-budget-mb", "--fault-inject"):
         if flag not in doc:
             errors.append(f"docs/ROBUSTNESS.md: flag not documented: {flag}")
     result = subprocess.run(
