@@ -40,9 +40,9 @@ namespace binsym::bench {
 /// wrapped in a FailoverSolver: a kUnknown (timeout) or thrown backend
 /// failure on the primary retries once, statelessly, on the other backend.
 struct RobustnessOptions {
-  std::string solver = "z3";      // primary backend: "z3" | "bitblast"
-                                  // (docs/SOLVERS.md)
-  uint32_t query_timeout_ms = 0;  // per-query deadline; 0 = none
+  std::string solver = "bitblast";  // primary backend: "bitblast" | "z3"
+                                    // (docs/SOLVERS.md)
+  uint32_t query_timeout_ms = 0;    // per-query deadline; 0 = none
 };
 
 struct EngineSetup {
@@ -53,8 +53,8 @@ struct EngineSetup {
   /// to every worker built from this setup. Defaulted so three-member
   /// aggregate initialization keeps working.
   core::MachineConfig config{};
-  /// Solver backend and deadline knobs, also defaulted (no deadline, plain z3
-  /// backend) so existing aggregate initializations keep working.
+  /// Solver backend and deadline knobs, also defaulted (no deadline, plain
+  /// bitblast backend) so existing aggregate initializations keep working.
   RobustnessOptions robust{};
 };
 

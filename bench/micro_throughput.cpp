@@ -298,7 +298,9 @@ void BM_SolverZ3(benchmark::State& state) {
 BENCHMARK(BM_SolverZ3);
 
 void BM_SolverBitblast(benchmark::State& state) {
-  solver_query(state, &smt::make_bitblast_solver);
+  solver_query(state, [](smt::Context& ctx) {
+    return smt::make_bitblast_solver(ctx);
+  });
 }
 BENCHMARK(BM_SolverBitblast);
 

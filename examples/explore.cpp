@@ -5,7 +5,7 @@
 //   explore <workload|path.elf> [binsym|vp|binsec|angr|angr-buggy]
 //           [--max-paths N] [--jobs N] [--search dfs|bfs|random|coverage]
 //           [--no-uop]
-//           [--solver z3|bitblast] [--query-timeout-ms N]
+//           [--solver bitblast|z3] [--query-timeout-ms N]
 //           [--solver-store DIR]
 //           [--deadline-secs N] [--memory-budget-mb N] [--fault-inject SPEC]
 //           [--show-failures] [--oracles LIST] [--findings-dir DIR]
@@ -43,8 +43,8 @@ void print_usage(std::FILE* out, const char* prog) {
       "                           path-selection strategy\n"
       "  --no-uop                 disable the micro-op block fast path\n"
       "                           (pure per-instruction spec interpretation)\n"
-      "  --solver NAME            primary SMT backend (default z3); one of\n"
-      "                           z3, bitblast (see docs/SOLVERS.md)\n"
+      "  --solver NAME            primary SMT backend (default bitblast);\n"
+      "                           one of bitblast, z3 (see docs/SOLVERS.md)\n"
       "  --query-timeout-ms N     per-solver-query deadline; a query that\n"
       "                           exceeds it returns unknown and the flip\n"
       "                           is skipped, never treated as infeasible\n"

@@ -7,15 +7,19 @@
 namespace binsym::smt::sat {
 
 BitBlaster::BitBlaster(CdclSolver& solver) : solver_(solver) {
-  Var true_var = solver_.new_var();
+  Var true_var = solver_.new_var(/*decision=*/false);
   true_lit_ = make_lit(true_var, false);
   clause({true_lit_});
 }
 
-Lit BitBlaster::fresh() { return make_lit(solver_.new_var(), false); }
+Lit BitBlaster::input() { return make_lit(solver_.new_var(), false); }
+
+Lit BitBlaster::gate() {
+  return make_lit(solver_.new_var(/*decision=*/false), false);
+}
 
 void BitBlaster::clause(std::vector<Lit> lits) {
-  if (!solver_.add_clause(std::move(lits))) inconsistent_ = true;
+  solver_.add_clause(std::move(lits));
 }
 
 // -- Gates (with constant short-circuiting). ----------------------------------
@@ -26,7 +30,7 @@ Lit BitBlaster::g_and(Lit a, Lit b) {
   if (is_const(b, true)) return a;
   if (a == b) return a;
   if (a == lit_not(b)) return lit_false();
-  Lit out = fresh();
+  Lit out = gate();
   clause({lit_not(out), a});
   clause({lit_not(out), b});
   clause({out, lit_not(a), lit_not(b)});
@@ -42,7 +46,7 @@ Lit BitBlaster::g_xor(Lit a, Lit b) {
   if (is_const(b, true)) return lit_not(a);
   if (a == b) return lit_false();
   if (a == lit_not(b)) return lit_true();
-  Lit out = fresh();
+  Lit out = gate();
   clause({lit_not(out), a, b});
   clause({lit_not(out), lit_not(a), lit_not(b)});
   clause({out, lit_not(a), b});
@@ -54,7 +58,7 @@ Lit BitBlaster::g_mux(Lit sel, Lit then_lit, Lit else_lit) {
   if (is_const(sel, true)) return then_lit;
   if (is_const(sel, false)) return else_lit;
   if (then_lit == else_lit) return then_lit;
-  Lit out = fresh();
+  Lit out = gate();
   clause({lit_not(sel), lit_not(then_lit), out});
   clause({lit_not(sel), then_lit, lit_not(out)});
   clause({sel, lit_not(else_lit), out});
@@ -193,8 +197,8 @@ void BitBlaster::divide(const Bits& a, const Bits& b, Bits* quotient,
   // overflow in q*b). Overflow-freedom comes from doing the multiply and
   // add in 2w bits and requiring the upper half to be zero.
   Bits q(width), r(width);
-  for (unsigned i = 0; i < width; ++i) q[i] = fresh();
-  for (unsigned i = 0; i < width; ++i) r[i] = fresh();
+  for (unsigned i = 0; i < width; ++i) q[i] = input();
+  for (unsigned i = 0; i < width; ++i) r[i] = input();
 
   Bits q_wide = q, b_wide = b, r_wide = r, a_wide = a;
   q_wide.resize(2 * width, lit_false());
@@ -221,9 +225,23 @@ void BitBlaster::divide(const Bits& a, const Bits& b, Bits* quotient,
 // -- Expression layer. -------------------------------------------------------------
 
 const BitBlaster::Bits& BitBlaster::blast(ExprRef expr) {
-  postorder(expr, [this](ExprRef node) {
-    if (!memo_.count(node->id)) memo_.emplace(node->id, blast_node(node));
-  });
+  // Postorder over the part of the DAG not blasted yet: a memoized node is
+  // a leaf, so a question that extends an earlier one costs only its new
+  // nodes.
+  if (auto it = memo_.find(expr->id); it != memo_.end()) return it->second;
+  std::vector<std::pair<ExprRef, bool>> stack{{expr, false}};
+  while (!stack.empty()) {
+    auto [node, expanded] = stack.back();
+    stack.pop_back();
+    if (memo_.count(node->id)) continue;
+    if (expanded) {
+      memo_.emplace(node->id, blast_node(node));
+      continue;
+    }
+    stack.emplace_back(node, true);
+    for (unsigned i = 0; i < node->num_ops; ++i)
+      if (!memo_.count(node->ops[i]->id)) stack.emplace_back(node->ops[i], false);
+  }
   return memo_.at(expr->id);
 }
 
@@ -240,7 +258,7 @@ BitBlaster::Bits BitBlaster::blast_node(ExprRef e) {
       if (auto it = var_bits_.find(e->var_id); it != var_bits_.end())
         return it->second;
       Bits bits(width);
-      for (unsigned i = 0; i < width; ++i) bits[i] = fresh();
+      for (unsigned i = 0; i < width; ++i) bits[i] = input();
       var_bits_.emplace(e->var_id, bits);
       return bits;
     }
@@ -343,10 +361,9 @@ BitBlaster::Bits BitBlaster::blast_node(ExprRef e) {
   return {};
 }
 
-void BitBlaster::assert_true(ExprRef expr) {
+Lit BitBlaster::literal(ExprRef expr) {
   assert(expr->width == 1);
-  const Bits& bits = blast(expr);
-  clause({bits[0]});
+  return blast(expr)[0];
 }
 
 uint64_t BitBlaster::var_value(uint32_t var_id, unsigned width) const {

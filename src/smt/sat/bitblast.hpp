@@ -1,6 +1,11 @@
 // Bit-blasting: expression DAGs -> CNF over the CDCL solver.
 //
-// Tseitin encoding with structural memoization per node. Arithmetic uses
+// Tseitin encoding with structural memoization per node. Every clause the
+// blaster adds defines a fresh literal from older ones and holds for any
+// value of the context variables, so the clauses of every node blasted
+// so far stay in the solver for good: a node shared between questions is
+// blasted once, and a question is posed as assumption literals
+// (see sat_solver_backend.cpp). Arithmetic uses
 // ripple-carry adders and shift-add multipliers; shifts are barrel
 // networks with SMT saturation semantics; division introduces fresh
 // quotient/remainder vectors constrained by the multiplication identity
@@ -23,8 +28,9 @@ class BitBlaster {
  public:
   explicit BitBlaster(CdclSolver& solver);
 
-  /// Assert a width-1 expression to be true.
-  void assert_true(ExprRef expr);
+  /// The literal that is true exactly when width-1 `expr` is 1, blasting
+  /// whatever part of its DAG is not blasted yet.
+  Lit literal(ExprRef expr);
 
   /// After a kSat solve(): read back the value of a context variable.
   uint64_t var_value(uint32_t var_id, unsigned width) const;
@@ -33,9 +39,6 @@ class BitBlaster {
   const std::unordered_map<uint32_t, std::vector<Lit>>& vars() const {
     return var_bits_;
   }
-
-  /// True when the formula became unsat during encoding already.
-  bool inconsistent() const { return inconsistent_; }
 
  private:
   using Bits = std::vector<Lit>;  // LSB first
@@ -48,7 +51,11 @@ class BitBlaster {
     return lit == (value ? true_lit_ : lit_not(true_lit_));
   }
 
-  Lit fresh();
+  // Fresh literals. Only inputs (variable bits, division quotients and
+  // remainders) are CDCL decision variables: once every input is assigned,
+  // unit propagation through the gate clauses assigns every gate output.
+  Lit input();
+  Lit gate();
   void clause(std::vector<Lit> lits);
 
   Lit g_and(Lit a, Lit b);
@@ -78,12 +85,8 @@ class BitBlaster {
 
   CdclSolver& solver_;
   Lit true_lit_;
-  bool inconsistent_ = false;
   std::unordered_map<uint32_t, Bits> memo_;      // expr id -> bits
   std::unordered_map<uint32_t, Bits> var_bits_;  // context var id -> bits
 };
-
-/// smt::Solver backend built on BitBlaster + CdclSolver; constructed via
-/// make_bitblast_solver() (declared in smt/solver.hpp).
 
 }  // namespace binsym::smt::sat

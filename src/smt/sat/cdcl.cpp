@@ -2,24 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 
 namespace binsym::smt::sat {
 
-Var CdclSolver::new_var() {
+Var CdclSolver::new_var(bool decision) {
   Var var = static_cast<Var>(activity_.size());
   assigns_.push_back(-1);
   reason_.push_back(kUndef);
   level_.push_back(0);
   activity_.push_back(0.0);
   phase_.push_back(false);
+  seen_.push_back(0);
+  heap_pos_.push_back(-1);
+  decision_.push_back(decision);
   watches_.emplace_back();
   watches_.emplace_back();
+  if (decision) heap_insert(var);
   return var;
 }
 
 bool CdclSolver::add_clause(std::vector<Lit> lits) {
   if (unsat_) return false;
-  assert(trail_lim_.empty() && "clauses must be added at decision level 0");
+  backtrack(0);
 
   // Root-level simplification: drop false literals, detect tautologies and
   // already-satisfied clauses, deduplicate.
@@ -120,9 +125,11 @@ int CdclSolver::propagate() {
 void CdclSolver::bump_var(Var var) {
   activity_[var] += activity_inc_;
   if (activity_[var] > 1e100) {
+    // Uniform rescaling keeps the heap order.
     for (double& a : activity_) a *= 1e-100;
     activity_inc_ *= 1e-100;
   }
+  if (heap_pos_[var] >= 0) heap_up(static_cast<size_t>(heap_pos_[var]));
 }
 
 void CdclSolver::decay_activities() { activity_inc_ /= 0.95; }
@@ -132,7 +139,6 @@ void CdclSolver::analyze(int conflict, std::vector<Lit>* learned,
   // First-UIP scheme.
   learned->clear();
   learned->push_back(0);  // slot for the asserting literal
-  std::vector<bool> seen(activity_.size(), false);
   int counter = 0;
   Lit asserting = 0;
   bool first_round = true;
@@ -147,8 +153,8 @@ void CdclSolver::analyze(int conflict, std::vector<Lit>* learned,
     for (size_t i = (first_round ? 0 : 1); i < clause.lits.size(); ++i) {
       Lit lit = clause.lits[i];
       Var var = lit_var(lit);
-      if (seen[var] || level_[var] == 0) continue;
-      seen[var] = true;
+      if (seen_[var] || level_[var] == 0) continue;
+      seen_[var] = 1;
       bump_var(var);
       if (level_[var] == current_level) {
         ++counter;
@@ -158,15 +164,17 @@ void CdclSolver::analyze(int conflict, std::vector<Lit>* learned,
     }
     first_round = false;
     // Walk the trail to the next marked literal.
-    while (!seen[lit_var(trail_[trail_index - 1])]) --trail_index;
+    while (!seen_[lit_var(trail_[trail_index - 1])]) --trail_index;
     --trail_index;
     asserting = trail_[trail_index];
-    seen[lit_var(asserting)] = false;
+    seen_[lit_var(asserting)] = 0;
     --counter;
     if (counter == 0) break;
     reason = reason_[lit_var(asserting)];
   }
   (*learned)[0] = lit_not(asserting);
+  // Current-level marks were cleared as they were resolved; clear the rest.
+  for (size_t i = 1; i < learned->size(); ++i) seen_[lit_var((*learned)[i])] = 0;
 
   // Backjump to the second-highest level in the learned clause.
   *backjump_level = 0;
@@ -185,6 +193,7 @@ void CdclSolver::backtrack(int target_level) {
     Var var = lit_var(trail_[i - 1]);
     assigns_[var] = -1;
     reason_[var] = kUndef;
+    if (decision_[var] && heap_pos_[var] < 0) heap_insert(var);
   }
   trail_.resize(keep);
   trail_lim_.resize(target_level);
@@ -192,24 +201,73 @@ void CdclSolver::backtrack(int target_level) {
 }
 
 Lit CdclSolver::pick_branch() {
-  Var best = kUndef;
-  double best_activity = -1.0;
-  for (Var var = 0; var < static_cast<Var>(activity_.size()); ++var) {
-    if (assigns_[var] == -1 && activity_[var] > best_activity) {
-      best = var;
-      best_activity = activity_[var];
-    }
+  // Assigned variables stay in the heap until they surface here.
+  while (!heap_.empty()) {
+    Var var = heap_pop();
+    if (assigns_[var] == -1) return make_lit(var, !phase_[var]);
   }
-  if (best == kUndef) return kUndef;
-  return make_lit(best, !phase_[best]);
+  return kUndef;
 }
 
-SatResult CdclSolver::solve() {
-  if (unsat_) return SatResult::kUnsat;
-  if (propagate() != kUndef) {
-    unsat_ = true;
-    return SatResult::kUnsat;
+void CdclSolver::heap_insert(Var var) {
+  heap_pos_[var] = static_cast<int>(heap_.size());
+  heap_.push_back(var);
+  heap_up(heap_.size() - 1);
+}
+
+void CdclSolver::heap_up(size_t pos) {
+  Var var = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 2;
+    if (!heap_before(var, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[heap_[pos]] = static_cast<int>(pos);
+    pos = parent;
   }
+  heap_[pos] = var;
+  heap_pos_[var] = static_cast<int>(pos);
+}
+
+void CdclSolver::heap_down(size_t pos) {
+  Var var = heap_[pos];
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && heap_before(heap_[child + 1], heap_[child]))
+      ++child;
+    if (!heap_before(heap_[child], var)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[heap_[pos]] = static_cast<int>(pos);
+    pos = child;
+  }
+  heap_[pos] = var;
+  heap_pos_[var] = static_cast<int>(pos);
+}
+
+Var CdclSolver::heap_pop() {
+  Var top = heap_.front();
+  heap_pos_[top] = -1;
+  Var last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    heap_[0] = last;
+    heap_down(0);
+  }
+  return top;
+}
+
+SatResult CdclSolver::solve(std::span<const Lit> assumptions) {
+  if (unsat_) return SatResult::kUnsat;
+  // Level i+1 holds assumption i and what it implied, so the levels of the
+  // assumptions this call shares with the last one stay as they are (an
+  // add_clause() in between has backtracked to level 0 already).
+  size_t keep = 0;
+  const size_t shared =
+      std::min({static_cast<size_t>(decision_level()), assumptions.size(),
+                last_assumptions_.size()});
+  while (keep < shared && assumptions[keep] == last_assumptions_[keep]) ++keep;
+  backtrack(static_cast<int>(keep));
+  last_assumptions_.assign(assumptions.begin(), assumptions.end());
 
   uint64_t conflicts_until_restart = 100;
   uint64_t conflicts_since_restart = 0;
@@ -258,8 +316,21 @@ SatResult CdclSolver::solve() {
       continue;
     }
 
-    Lit decision = pick_branch();
-    if (decision == kUndef) return SatResult::kSat;  // all assigned
+    // Pending assumptions come first, one level each. One already true
+    // gets an empty level, so level i+1 always belongs to assumption i.
+    Lit decision = kUndef;
+    while (decision_level() < static_cast<int>(assumptions.size())) {
+      Lit assumption = assumptions[decision_level()];
+      int8_t v = lit_value(assumption);
+      if (v == 0) return SatResult::kUnsat;  // refuted under the assumptions
+      if (v == -1) {
+        decision = assumption;
+        break;
+      }
+      trail_lim_.push_back(static_cast<int>(trail_.size()));
+    }
+    if (decision == kUndef) decision = pick_branch();
+    if (decision == kUndef) return SatResult::kSat;  // decisions exhausted
     ++stats_.decisions;
     trail_lim_.push_back(static_cast<int>(trail_.size()));
     enqueue(decision, kUndef);

@@ -2,15 +2,20 @@
 //
 // Backs the project's own bit-blasting solver backend: two-watched-literal
 // propagation, first-UIP conflict analysis with clause learning and
-// backjumping, VSIDS-like activity decisions with phase saving, and
-// geometric restarts. Small by design, but a real solver — property tests
-// cross-check it against Z3 on engine-generated queries.
+// backjumping, VSIDS activity decisions off a binary heap with phase
+// saving, and geometric restarts. Incremental in MiniSat's sense (Eén &
+// Sörensson, SAT 2003): clauses may be added between solves, and each
+// solve runs under a set of assumption literals, so one instance answers a
+// whole sequence of related questions and keeps its learned clauses.
+// Small by design, but a real solver — property tests cross-check it
+// against brute force and Z3.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace binsym::smt::sat {
@@ -36,23 +41,39 @@ struct CdclStats {
 
 class CdclSolver {
  public:
-  Var new_var();
+  /// A fresh variable. The search branches on decision variables only; a
+  /// non-decision variable must be assigned by unit propagation once every
+  /// decision variable is (a Tseitin gate output, say), so a solve() that
+  /// has assigned every decision variable without conflict answers kSat.
+  Var new_var(bool decision = true);
   int num_vars() const { return static_cast<int>(activity_.size()); }
+  /// Problem plus learned clauses held (units live on the trail instead).
+  size_t num_clauses() const { return clauses_.size(); }
 
-  /// Add a clause; returns false if the formula became trivially unsat
+  /// Add a clause; returns false if the formula became unsat at the root
   /// (empty clause after simplification against root-level assignments).
+  /// Legal between solves: the assignment a solve() left behind is
+  /// backtracked to level 0 first, so read the model before adding.
   bool add_clause(std::vector<Lit> lits);
 
-  /// Abandon the search (returning kUnknown) once this instant passes.
-  /// Probed every few hundred search-loop iterations, so the overrun is
-  /// bounded by one propagation burst, not by total query hardness.
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
+  /// Abandon each later solve() (returning kUnknown) once this instant
+  /// passes; nullopt clears it. Probed every 64 search-loop iterations, so
+  /// the overrun is bounded by one propagation burst, not by total query
+  /// hardness.
+  void set_deadline(
+      std::optional<std::chrono::steady_clock::time_point> deadline) {
     deadline_ = deadline;
   }
 
-  SatResult solve();
+  /// Decide the clauses under `assumptions`. The assumptions are decided
+  /// first, one level each; one that is already false under the clauses
+  /// and the assumptions before it makes the answer kUnsat for this call
+  /// only. Only a conflict at level 0 makes the formula itself unsat, and
+  /// then every later solve() answers kUnsat at once.
+  SatResult solve(std::span<const Lit> assumptions = {});
 
-  /// Model access (valid after solve() returned kSat).
+  /// Model access (valid after solve() returned kSat, until the next
+  /// add_clause() or solve()).
   bool value(Var var) const { return assigns_[var] == 1; }
 
   const CdclStats& stats() const { return stats_; }
@@ -71,6 +92,7 @@ class CdclSolver {
     if (v < 0) return -1;
     return lit_negated(lit) ? static_cast<int8_t>(1 - v) : v;
   }
+  int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
   void enqueue(Lit lit, int reason);
   int propagate();  // returns conflicting clause index or kUndef
@@ -81,6 +103,13 @@ class CdclSolver {
   void decay_activities();
   void attach(int clause_index);
 
+  // VSIDS order: a binary max-heap of variables keyed by activity.
+  bool heap_before(Var a, Var b) const { return activity_[a] > activity_[b]; }
+  void heap_insert(Var var);
+  void heap_up(size_t pos);
+  void heap_down(size_t pos);
+  Var heap_pop();
+
   std::vector<Clause> clauses_;
   std::vector<std::vector<int>> watches_;  // per literal: clause indices
   std::vector<int8_t> assigns_;            // per var
@@ -88,8 +117,13 @@ class CdclSolver {
   std::vector<int> level_;                 // per var
   std::vector<double> activity_;           // per var
   std::vector<bool> phase_;                // per var: saved polarity
+  std::vector<uint8_t> seen_;              // per var: analyze() scratch
+  std::vector<Var> heap_;                  // decision order
+  std::vector<int> heap_pos_;              // per var: index in heap_ or -1
+  std::vector<uint8_t> decision_;          // per var: may be branched on
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
+  std::vector<Lit> last_assumptions_;      // of the last solve()
   size_t propagate_head_ = 0;
   double activity_inc_ = 1.0;
   bool unsat_ = false;

@@ -13,11 +13,7 @@ const char* check_result_name(CheckResult result) {
   return "?";
 }
 
-// -- Base-class scoped API: the compatibility adapter. ------------------------
-//
-// Assertions stay client-side; check_assuming() replays scoped ∧ assumptions
-// through one stateless check(). Correct for every backend; no reuse across
-// checks beyond whatever the backend does internally.
+// -- Base-class scope bookkeeping: scoped_assertions() for every solver. ------
 
 void Solver::push() { scope_marks_.push_back(scoped_.size()); }
 
@@ -29,18 +25,6 @@ void Solver::pop() {
 }
 
 void Solver::assert_(ExprRef assertion) { scoped_.push_back(assertion); }
-
-CheckResult Solver::check_assuming(std::span<const ExprRef> assumptions,
-                                   Assignment* model) {
-  std::vector<ExprRef> all(scoped_.begin(), scoped_.end());
-  all.insert(all.end(), assumptions.begin(), assumptions.end());
-  // check() does its own accounting (queries/sat/unsat/solve_seconds); the
-  // incremental counters record that this went through the scoped API.
-  CheckResult result = check(all, model);
-  ++stats_.incremental_checks;
-  stats_.reused_assertions += scoped_.size();
-  return result;
-}
 
 // -- ValidatingSolver. --------------------------------------------------------
 

@@ -82,12 +82,12 @@ class Solver {
   // The engine keeps a trace's prefix constraints asserted, one pushed
   // level each and across sibling traces, and checks each flip as an
   // assumption on top, instead of re-sending the whole conjunction per
-  // flip. The base-class implementation keeps the scoped
-  // assertions client-side and answers check_assuming() via one stateless
-  // check() over scoped + assumptions — a correct compatibility adapter for
-  // any backend (the bit-blasting one uses it as-is). Backends with native
-  // incrementality (Z3) override all four and keep the assertion stack in
-  // the solver, where learned clauses survive across flips.
+  // flip. The base-class push/pop/assert_ keep the scoped assertions
+  // client-side as well (scoped_assertions()); overrides call them. Both
+  // backends are natively incremental and keep the assertion stack in the
+  // solver, where learned clauses survive across flips: Z3 in its own
+  // push/pop levels, bitblast as one selector literal per scoped assertion
+  // in one persistent CDCL instance.
 
   /// Open a new assertion scope.
   virtual void push();
@@ -97,14 +97,15 @@ class Solver {
   virtual void assert_(ExprRef assertion);
   /// Check scoped assertions ∧ assumptions; assumptions are not retained.
   virtual CheckResult check_assuming(std::span<const ExprRef> assumptions,
-                                     Assignment* model);
+                                     Assignment* model) = 0;
 
   /// Per-query wall-clock deadline in milliseconds; 0 disables (the
   /// default). Applies to every subsequent check*() call. A check that
   /// exceeds the deadline returns kUnknown — never a wrong verdict — so
   /// the engine treats it as an explicitly skipped query. Backends honor
   /// it natively (Z3: solver `timeout` param; bitblast: a periodic
-  /// deadline probe in the CDCL search loop); wrappers forward it.
+  /// deadline probe in the CDCL search loop, set afresh for every check);
+  /// wrappers forward it.
   virtual void set_deadline_ms(uint32_t ms) { deadline_ms_ = ms; }
   uint32_t deadline_ms() const { return deadline_ms_; }
 
@@ -138,8 +139,12 @@ class Solver {
 /// Construct the Z3-backed solver (see z3_solver.cpp).
 std::unique_ptr<Solver> make_z3_solver(Context& ctx);
 
-/// Construct the built-in bit-blasting solver (see sat/).
-std::unique_ptr<Solver> make_bitblast_solver(Context& ctx);
+/// Construct the built-in bit-blasting solver, the default backend (see
+/// sat/). `clause_budget` replaces the clause count at which its CDCL
+/// instance is rebuilt; 0 keeps the built-in one. Tests pass a tiny budget
+/// to force rebuilds.
+std::unique_ptr<Solver> make_bitblast_solver(Context& ctx,
+                                             size_t clause_budget = 0);
 
 /// Base for wrappers over one inner solver: push/pop/assert_ mirror the
 /// scope into the base class (so scoped_assertions() stays valid) and
@@ -193,11 +198,13 @@ class ValidatingSolver final : public ForwardingSolver {
 /// solver) first; when the primary gives up — kUnknown (deadline, theory
 /// limits) or a thrown backend error — the query is retried once on a
 /// lazily built secondary backend before kUnknown is surfaced to the
-/// caller. The secondary is stateless from the wrapper's point of view: it
-/// answers each rescue as one standalone check over the client-side scoped
-/// assertions plus the assumptions (the base class keeps that set for every
-/// backend), so it needs no scope replay and no native incrementality. A
-/// decided rescue counts into SolverStats::failover_rescues.
+/// caller. In the CLI's stack the primary is the default bitblast backend
+/// and the secondary is Z3 (or the reverse under `--solver z3`). The
+/// secondary is stateless from the wrapper's point of view: it answers each
+/// rescue as one standalone check over the client-side scoped assertions
+/// plus the assumptions (the base class keeps that set for every backend),
+/// so it needs no scope replay. A decided rescue counts into
+/// SolverStats::failover_rescues.
 class FailoverSolver final : public ForwardingSolver {
  public:
   using SecondaryFactory = std::function<std::unique_ptr<Solver>()>;

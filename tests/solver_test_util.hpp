@@ -28,15 +28,22 @@ class StubSolver final : public Solver {
   explicit StubSolver(Mode mode) : mode_(mode) {}
 
   CheckResult check(std::span<const ExprRef>, Assignment*) override {
+    return give_up();
+  }
+  CheckResult check_assuming(std::span<const ExprRef>, Assignment*) override {
+    return give_up();
+  }
+
+  std::string name() const override { return "stub"; }
+
+ private:
+  CheckResult give_up() {
     ++stats_.queries;
     if (mode_ == Mode::kThrow) throw std::runtime_error("stub backend crash");
     ++stats_.unknown;
     return CheckResult::kUnknown;
   }
 
-  std::string name() const override { return "stub"; }
-
- private:
   Mode mode_;
 };
 

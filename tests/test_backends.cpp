@@ -4,7 +4,8 @@
 //   * a cross-backend differential harness: randomized queries and the
 //     questions a Table I exploration asks its solver run through
 //     {z3, bitblast} and must agree on every verdict, with every sat model
-//     validated by concrete evaluation;
+//     validated by concrete evaluation; randomized scoped scripts on one
+//     native bitblast instance must agree with a fresh Z3 check per step;
 //   * the persistent store: byte-exact round trips, corruption / truncation /
 //     version-skew all degrade to a diagnosed cold start, kUnknown is never
 //     admitted (unit and end-to-end via fault injection), and warm reruns
@@ -168,6 +169,96 @@ TEST_P(BackendDifferential, RandomizedQueriesAgreeAcrossAllBackends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendDifferential,
+                         ::testing::Range<uint64_t>(1, 9));
+
+/// A random width-1 constraint over three 8-bit variables: a comparison of
+/// a depth-2 term with a constant, so that every step stays cheap to decide
+/// and the scripts spend their time on scope changes, not on hard algebra.
+ExprRef random_predicate(Context& ctx, Rng& rng) {
+  auto leaf = [&]() -> ExprRef {
+    if (rng.below(4) == 0) return ctx.constant(rng.next() & 0xff, 8);
+    return ctx.var("s" + std::to_string(rng.below(3)), 8);
+  };
+  auto apply = [&](ExprRef a, ExprRef b) -> ExprRef {
+    switch (rng.below(7)) {
+      case 0: return ctx.add(a, b);
+      case 1: return ctx.sub(a, b);
+      case 2: return ctx.mul(a, b);
+      case 3: return ctx.udiv(a, b);
+      case 4: return ctx.xor_(a, b);
+      case 5: return ctx.and_(a, b);
+      default: return ctx.lshr(a, b);
+    }
+  };
+  ExprRef term = apply(apply(leaf(), leaf()), leaf());
+  ExprRef bound = ctx.constant(rng.next() & 0xff, 8);
+  switch (rng.below(4)) {
+    case 0: return ctx.eq(term, bound);
+    case 1: return ctx.ult(term, bound);
+    case 2: return ctx.ule(bound, term);
+    default: return ctx.not_(ctx.eq(term, bound));
+  }
+}
+
+/// Random push/assert_/pop/check_assuming scripts, with stateless check()s
+/// whenever no scope is open, on one bitblast instance for the whole
+/// script. Every answer is compared with a fresh Z3 check of
+/// scoped ∧ assumptions, and every sat model must satisfy that query.
+/// `clause_budget` 1 rebuilds the bitblast instance before every check.
+void run_scoped_script(uint64_t seed, size_t clause_budget) {
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + 7);
+  Context ctx;
+  auto native = make_bitblast_solver(ctx, clause_budget);
+  uint64_t checks = 0, sat = 0;
+  for (int step = 0; step < 120; ++step) {
+    const uint64_t op = rng.below(10);
+    if (op < 2) {
+      native->push();
+    } else if (op < 5) {
+      native->assert_(random_predicate(ctx, rng));
+    } else if (op < 6 && native->num_scopes() > 0) {
+      native->pop();
+    } else {
+      std::vector<ExprRef> assumptions;
+      const uint64_t count = rng.below(3);
+      for (uint64_t i = 0; i < count; ++i)
+        assumptions.push_back(random_predicate(ctx, rng));
+      std::vector<ExprRef> query(native->scoped_assertions().begin(),
+                                 native->scoped_assertions().end());
+      query.insert(query.end(), assumptions.begin(), assumptions.end());
+
+      const bool stateless = native->num_scopes() == 0 && rng.flip();
+      Assignment model;
+      const CheckResult got = stateless
+                                  ? native->check(query, &model)
+                                  : native->check_assuming(assumptions, &model);
+      const CheckResult want = make_z3_solver(ctx)->check(query, nullptr);
+      ASSERT_NE(want, CheckResult::kUnknown);
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << step;
+      if (got == CheckResult::kSat) {
+        EXPECT_TRUE(satisfies(query, model)) << "seed " << seed << " step "
+                                             << step;
+        ++sat;
+      }
+      ++checks;
+    }
+  }
+  EXPECT_GT(checks, 20u);
+  EXPECT_GT(sat, 0u);
+  EXPECT_LT(sat, checks);  // both polarities, or the agreement is vacuous
+}
+
+class ScopedDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ScopedDifferential, NativeBitblastScopesAgreeWithFreshZ3) {
+  run_scoped_script(GetParam(), 0);
+}
+
+TEST_P(ScopedDifferential, RebuildBeforeEveryCheckAgreesWithFreshZ3) {
+  run_scoped_script(GetParam(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScopedDifferential,
                          ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace

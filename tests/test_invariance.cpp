@@ -232,5 +232,30 @@ TEST_P(InvarianceMatrix, MatchesGolden) {
 INSTANTIATE_TEST_SUITE_P(Table1, InvarianceMatrix,
                          ::testing::ValuesIn(all_cases()));
 
+TEST(BitblastRebuild, TinyClauseBudgetKeepsTheGoldenPathSet) {
+  // A 64-clause budget rebuilds each worker's bitblast instance every few
+  // checks, in the middle of open assertion scopes. The exploration must
+  // still reproduce the golden path set.
+  isa::OpcodeTable table;
+  isa::Decoder decoder{table};
+  spec::Registry registry;
+  spec::install_rv32im(registry, table);
+  const Golden& golden = kGoldens[1];
+  ASSERT_STREQ(golden.workload, "bubble-sort");
+  core::Program program = workloads::load_workload(table, golden.workload);
+  bench::EngineSetup setup{decoder, registry, program};
+  core::WorkerFactory inner = bench::make_worker_factory("binsym", setup, "");
+  core::WorkerFactory factory = [&inner](unsigned worker) {
+    core::WorkerResources r = inner(worker);
+    r.solver = smt::make_bitblast_solver(*r.ctx, /*clause_budget=*/64);
+    return r;
+  };
+  const test::Exploration run = test::explore(factory);
+  EXPECT_FALSE(run.stats.incomplete) << run.stats.incomplete_reason;
+  EXPECT_EQ(run.stats.paths, golden.paths);
+  EXPECT_EQ(run.path_keys.size(), run.stats.paths);
+  EXPECT_EQ(digest(run.path_keys), golden.digest);
+}
+
 }  // namespace
 }  // namespace binsym

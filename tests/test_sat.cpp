@@ -19,6 +19,18 @@ using sat::make_lit;
 using sat::SatResult;
 using sat::Var;
 
+/// True when `model` (bit v = variable v) satisfies every clause.
+bool satisfied_by(const std::vector<std::vector<Lit>>& clauses,
+                  uint32_t model) {
+  for (const auto& clause : clauses) {
+    bool any = false;
+    for (Lit lit : clause)
+      any |= (((model >> sat::lit_var(lit)) & 1) != 0) != sat::lit_negated(lit);
+    if (!any) return false;
+  }
+  return true;
+}
+
 TEST(Cdcl, TrivialSat) {
   CdclSolver solver;
   Var a = solver.new_var();
@@ -92,17 +104,8 @@ TEST(Cdcl, RandomInstancesAgreeWithBruteForce) {
     }
 
     bool brute_sat = false;
-    for (uint32_t model = 0; model < (1u << num_vars) && !brute_sat; ++model) {
-      bool all = true;
-      for (const auto& clause : clauses) {
-        bool any = false;
-        for (Lit lit : clause)
-          any |= (((model >> sat::lit_var(lit)) & 1) != 0) !=
-                 sat::lit_negated(lit);
-        all &= any;
-      }
-      brute_sat = all;
-    }
+    for (uint32_t model = 0; model < (1u << num_vars) && !brute_sat; ++model)
+      brute_sat = satisfied_by(clauses, model);
 
     CdclSolver solver;
     for (int v = 0; v < num_vars; ++v) solver.new_var();
@@ -111,6 +114,150 @@ TEST(Cdcl, RandomInstancesAgreeWithBruteForce) {
       consistent = solver.add_clause(std::move(clause)) && consistent;
     bool cdcl_sat = consistent && solver.solve() == SatResult::kSat;
     EXPECT_EQ(cdcl_sat, brute_sat) << "round " << round;
+  }
+}
+
+// -- Incremental solving under assumptions. -------------------------------------
+
+TEST(Cdcl, AssumptionsAgreeWithBruteForceAcrossAddedClauses) {
+  // One instance per round: clauses arrive in batches between solves, and
+  // every solve runs under a fresh random assumption set. Each answer must
+  // match exhaustive enumeration of clauses ∧ assumptions, and each model
+  // must satisfy both.
+  Rng rng(77);
+  const int num_vars = 8;
+  for (int round = 0; round < 60; ++round) {
+    CdclSolver solver;
+    for (int v = 0; v < num_vars; ++v) solver.new_var();
+    std::vector<std::vector<Lit>> clauses;
+    bool root_unsat = false;
+    for (int batch = 0; batch < 6; ++batch) {
+      const int added = 2 + static_cast<int>(rng.below(6));
+      for (int i = 0; i < added; ++i) {
+        std::vector<Lit> clause;
+        const int width = 1 + static_cast<int>(rng.below(3));
+        for (int k = 0; k < width; ++k)
+          clause.push_back(make_lit(static_cast<Var>(rng.below(num_vars)),
+                                    rng.flip()));
+        clauses.push_back(clause);
+        if (!solver.add_clause(clause)) root_unsat = true;
+      }
+      for (int query = 0; query < 4; ++query) {
+        std::vector<Lit> assumptions;
+        const uint64_t count = rng.below(5);
+        for (uint64_t k = 0; k < count; ++k)
+          assumptions.push_back(
+              make_lit(static_cast<Var>(rng.below(num_vars)), rng.flip()));
+        std::vector<std::vector<Lit>> query_clauses = clauses;
+        for (Lit lit : assumptions) query_clauses.push_back({lit});
+
+        bool brute_sat = false;
+        for (uint32_t model = 0; model < (1u << num_vars) && !brute_sat; ++model)
+          brute_sat = satisfied_by(query_clauses, model);
+        if (root_unsat) {
+          bool formula_sat = false;
+          for (uint32_t model = 0; model < (1u << num_vars) && !formula_sat;
+               ++model)
+            formula_sat = satisfied_by(clauses, model);
+          EXPECT_FALSE(formula_sat) << "round " << round;
+        }
+
+        const SatResult result = solver.solve(assumptions);
+        ASSERT_NE(result, SatResult::kUnknown);
+        ASSERT_EQ(result == SatResult::kSat, brute_sat)
+            << "round " << round << " batch " << batch << " query " << query;
+        if (result == SatResult::kSat) {
+          uint32_t model = 0;
+          for (int v = 0; v < num_vars; ++v)
+            if (solver.value(v)) model |= 1u << v;
+          EXPECT_TRUE(satisfied_by(query_clauses, model))
+              << "round " << round << " batch " << batch;
+        }
+      }
+    }
+  }
+}
+
+TEST(Cdcl, UnsatUnderAssumptionsDoesNotLatch) {
+  // (a | b) is refuted by {¬a, ¬b} only; the formula stays satisfiable.
+  CdclSolver solver;
+  Var a = solver.new_var(), b = solver.new_var();
+  ASSERT_TRUE(solver.add_clause({make_lit(a, false), make_lit(b, false)}));
+  const std::vector<Lit> both_false = {make_lit(a, true), make_lit(b, true)};
+  EXPECT_EQ(solver.solve(both_false), SatResult::kUnsat);
+  ASSERT_EQ(solver.solve(), SatResult::kSat);
+  EXPECT_TRUE(solver.value(a) || solver.value(b));
+  const std::vector<Lit> a_false = {make_lit(a, true)};
+  ASSERT_EQ(solver.solve(a_false), SatResult::kSat);
+  EXPECT_FALSE(solver.value(a));
+  EXPECT_TRUE(solver.value(b));
+  // A genuinely unsat formula does latch.
+  ASSERT_TRUE(solver.add_clause({make_lit(a, true)}));
+  EXPECT_FALSE(solver.add_clause({make_lit(b, true)}));
+  EXPECT_EQ(solver.solve(), SatResult::kUnsat);
+}
+
+TEST(Cdcl, LearnedClausesStayValidAfterTheirSelectorIsPopped) {
+  // PHP(3,2) guarded by selector s: unsat under {s}, which takes conflict
+  // analysis, so the instance learns clauses that mention ¬s. Popping s
+  // (the unit ¬s) must leave a satisfiable formula, and a second guarded
+  // scope over the same pigeon variables, PHP(2,2) on pigeons 0 and 1, must
+  // still be satisfiable through those learned clauses.
+  CdclSolver solver;
+  Var p[3][2];
+  for (auto& row : p)
+    for (Var& v : row) v = solver.new_var();
+  const Var s = solver.new_var();
+  const Lit not_s = make_lit(s, true);
+  for (int i = 0; i < 3; ++i)
+    solver.add_clause({not_s, make_lit(p[i][0], false), make_lit(p[i][1], false)});
+  for (int j = 0; j < 2; ++j)
+    for (int i1 = 0; i1 < 3; ++i1)
+      for (int i2 = i1 + 1; i2 < 3; ++i2)
+        solver.add_clause(
+            {not_s, make_lit(p[i1][j], true), make_lit(p[i2][j], true)});
+  const std::vector<Lit> scope_s = {make_lit(s, false)};
+  ASSERT_EQ(solver.solve(scope_s), SatResult::kUnsat);
+  EXPECT_GT(solver.stats().conflicts, 0u);
+  EXPECT_GT(solver.stats().learned_clauses, 0u);
+
+  ASSERT_TRUE(solver.add_clause({not_s}));  // pop
+  ASSERT_EQ(solver.solve(), SatResult::kSat);
+  EXPECT_EQ(solver.solve(scope_s), SatResult::kUnsat);  // s is gone for good
+
+  const Var t = solver.new_var();
+  const Lit not_t = make_lit(t, true);
+  for (int i = 0; i < 2; ++i)
+    solver.add_clause({not_t, make_lit(p[i][0], false), make_lit(p[i][1], false)});
+  for (int j = 0; j < 2; ++j)
+    solver.add_clause({not_t, make_lit(p[0][j], true), make_lit(p[1][j], true)});
+  const std::vector<Lit> scope_t = {make_lit(t, false)};
+  ASSERT_EQ(solver.solve(scope_t), SatResult::kSat);
+  for (int i = 0; i < 2; ++i)
+    EXPECT_TRUE(solver.value(p[i][0]) || solver.value(p[i][1])) << i;
+  for (int j = 0; j < 2; ++j)
+    EXPECT_FALSE(solver.value(p[0][j]) && solver.value(p[1][j])) << j;
+  // The popped PHP(3,2) no longer constrains pigeon 2, whatever was learned
+  // from it: pigeon 2 may take both holes.
+  const std::vector<Lit> crowded = {make_lit(t, false), make_lit(p[2][0], false),
+                                    make_lit(p[2][1], false)};
+  EXPECT_EQ(solver.solve(crowded), SatResult::kSat);
+}
+
+TEST(Cdcl, NonDecisionVariablesAreAssignedByPropagation) {
+  // g = a & b as a non-decision gate: the search branches on a and b only,
+  // and unit propagation fills g in.
+  CdclSolver solver;
+  Var a = solver.new_var(), b = solver.new_var();
+  Var g = solver.new_var(/*decision=*/false);
+  solver.add_clause({make_lit(g, true), make_lit(a, false)});
+  solver.add_clause({make_lit(g, true), make_lit(b, false)});
+  solver.add_clause({make_lit(g, false), make_lit(a, true), make_lit(b, true)});
+  for (Lit goal : {make_lit(g, false), make_lit(g, true)}) {
+    const std::vector<Lit> assumption = {goal};
+    ASSERT_EQ(solver.solve(assumption), SatResult::kSat);
+    EXPECT_EQ(solver.value(g), !sat::lit_negated(goal));
+    EXPECT_EQ(solver.value(g), solver.value(a) && solver.value(b));
   }
 }
 

@@ -2,6 +2,8 @@
 // keys, the model check and the solver wrappers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -146,8 +148,8 @@ TEST(QueryCache, RepeatedPrefixQuerySequenceHits) {
   EXPECT_EQ(hits, std::vector<bool>({false, false, false, true, true, true}));
 }
 
-// -- Scoped (incremental) API: native Z3, adapter-backed bitblast, and the
-// -- wrappers, all against the same script. ----------------------------------
+// -- Scoped (incremental) API: both native backends and the wrappers, all
+// -- against the same script. ------------------------------------------------
 
 // A named factory. The name is what gtest prints for the parameter, so the
 // test names are stable across builds instead of carrying a code address.
@@ -255,18 +257,74 @@ TEST_P(ScopedSolverApi, PopWithoutPushThrows) {
 namespace factories {
 std::unique_ptr<Solver> z3(Context& ctx) { return make_z3_solver(ctx); }
 std::unique_ptr<Solver> bitblast(Context& ctx) {
-  return make_bitblast_solver(ctx);  // exercises the base-class adapter
+  return make_bitblast_solver(ctx);
 }
 std::unique_ptr<Solver> validating_z3(Context& ctx) {
   return std::make_unique<ValidatingSolver>(make_z3_solver(ctx));
 }
+std::unique_ptr<Solver> validating_bitblast(Context& ctx) {
+  return std::make_unique<ValidatingSolver>(make_bitblast_solver(ctx));
+}
 }  // namespace factories
 
-INSTANTIATE_TEST_SUITE_P(Backends, ScopedSolverApi,
-                         ::testing::Values(
-                             Backend{"z3", &factories::z3},
-                             Backend{"bitblast", &factories::bitblast},
-                             Backend{"validating_z3", &factories::validating_z3}));
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ScopedSolverApi,
+    ::testing::Values(
+        Backend{"z3", &factories::z3},
+        Backend{"bitblast", &factories::bitblast},
+        Backend{"validating_z3", &factories::validating_z3},
+        Backend{"validating_bitblast", &factories::validating_bitblast}));
+
+TEST(BitblastRebuild, ScopesSurviveARebuild) {
+  // A clause budget of 1 rebuilds the instance before every check, here
+  // with two scopes open. Each answer must equal the one a default-budget
+  // instance gives, and the rebuild must leave the scoped assertions alone.
+  Context ctx;
+  auto roomy = make_bitblast_solver(ctx);
+  auto rebuilt = make_bitblast_solver(ctx, /*clause_budget=*/1);
+  ExprRef x = ctx.var("x", 16);
+  ExprRef y = ctx.var("y", 16);
+  const std::vector<ExprRef> scopes[] = {
+      {ctx.ult(ctx.mul(x, ctx.constant(3, 16)), ctx.constant(900, 16))},
+      {ctx.eq(y, ctx.add(x, ctx.constant(7, 16))),
+       ctx.ugt(x, ctx.constant(100, 16))}};
+  for (const auto& scope : scopes) {
+    for (Solver* solver : {roomy.get(), rebuilt.get()}) {
+      solver->push();
+      for (ExprRef assertion : scope) solver->assert_(assertion);
+    }
+  }
+  const std::vector<ExprRef> scoped(rebuilt->scoped_assertions().begin(),
+                                    rebuilt->scoped_assertions().end());
+  ASSERT_EQ(scoped.size(), 3u);
+
+  const std::vector<ExprRef> probes[] = {
+      {ctx.eq(y, ctx.constant(150, 16))},   // x = 143: sat
+      {ctx.eq(y, ctx.constant(50, 16))},    // x = 43 <= 100: unsat
+      {ctx.ugt(x, ctx.constant(299, 16))},  // sat once 3x wraps: x >= 21846
+      {},
+      {ctx.eq(y, ctx.constant(150, 16))}};
+  for (size_t i = 0; i < std::size(probes); ++i) {
+    Assignment model;
+    const CheckResult want = roomy->check_assuming(probes[i], nullptr);
+    const CheckResult got = rebuilt->check_assuming(probes[i], &model);
+    EXPECT_EQ(got, want) << "probe " << i;
+    EXPECT_TRUE(std::equal(scoped.begin(), scoped.end(),
+                           rebuilt->scoped_assertions().begin(),
+                           rebuilt->scoped_assertions().end()))
+        << "probe " << i;
+    if (got == CheckResult::kSat) {
+      EXPECT_TRUE(satisfies(scoped, model) && satisfies(probes[i], model))
+          << "probe " << i;
+    }
+  }
+  rebuilt->pop();
+  roomy->pop();
+  EXPECT_EQ(rebuilt->scoped_assertions().size(), 1u);
+  const std::vector<ExprRef> low = {ctx.eq(x, ctx.constant(5, 16))};
+  EXPECT_EQ(rebuilt->check_assuming(low, nullptr), CheckResult::kSat);
+  EXPECT_EQ(roomy->check_assuming(low, nullptr), CheckResult::kSat);
+}
 
 TEST(ValidatingSolver, ValidatesScopedAssertionsToo) {
   Context ctx;
@@ -329,8 +387,8 @@ TEST(Assignment, DefaultsToZero) {
 // -- Robustness: unknown verdicts, deadlines, and backend failover. ----------
 
 // StubSolver (solver_test_util.hpp) stands in for a backend that gives up
-// (deadline hit) or crashes outright. check_assuming() goes through the
-// base-class adapter, so it funnels into check() there.
+// (deadline hit) or crashes outright, on check() and check_assuming()
+// alike.
 
 TEST(FailoverSolver, SecondaryRescuesUnknownPrimary) {
   Context ctx;
@@ -418,6 +476,45 @@ TEST(SolverDeadline, BitblastHonorsExpiredDeadline) {
   // this test terminate rather than proving which side wins on fast CI.
 }
 
+/// Factoring a product of two 32-bit primes: no backend finishes it within
+/// a millisecond.
+std::vector<ExprRef> factoring_query(Context& ctx) {
+  ExprRef x = ctx.var("x", 64);
+  ExprRef y = ctx.var("y", 64);
+  ExprRef limit = ctx.constant(1ull << 32, 64);
+  return {
+      ctx.eq(ctx.mul(x, y), ctx.constant(2654435761ull * 3735928579ull, 64)),
+      ctx.ugt(x, ctx.constant(1, 64)), ctx.ugt(y, ctx.constant(1, 64)),
+      ctx.ult(x, limit), ctx.ult(y, limit)};
+}
+
+TEST(SolverDeadline, BitblastDeadlineEndsWithItsCheck) {
+  // The bitblast backend keeps one CDCL instance for its whole life. A
+  // deadline belongs to the check it was set for: once it is cleared, the
+  // same instance must answer again, statelessly and under a scope.
+  Context ctx;
+  auto solver = make_bitblast_solver(ctx);
+  solver->set_deadline_ms(1);
+  EXPECT_EQ(solver->check(factoring_query(ctx), nullptr), CheckResult::kUnknown);
+  EXPECT_EQ(solver->stats().unknown, 1u);
+
+  solver->set_deadline_ms(0);
+  ExprRef x = ctx.var("x", 64);
+  ExprRef y = ctx.var("y", 64);
+  Assignment model;
+  const std::vector<ExprRef> trivial = {ctx.eq(x, ctx.constant(7, 64))};
+  ASSERT_EQ(solver->check(trivial, &model), CheckResult::kSat);
+  EXPECT_EQ(model.get(x->var_id), 7u);
+
+  solver->push();
+  solver->assert_(ctx.eq(y, ctx.add(x, ctx.constant(1, 64))));
+  const std::vector<ExprRef> assumption = {ctx.eq(y, ctx.constant(9, 64))};
+  ASSERT_EQ(solver->check_assuming(assumption, &model), CheckResult::kSat);
+  EXPECT_EQ(model.get(x->var_id), 8u);
+  solver->pop();
+  EXPECT_EQ(solver->stats().unknown, 1u);
+}
+
 TEST(SolverDeadline, Z3AcceptsAndClearsDeadline) {
   Context ctx;
   auto solver = make_z3_solver(ctx);
@@ -436,19 +533,11 @@ TEST(SolverDeadline, Z3HonorsDeadlineSetBeforeFirstQuery) {
   Context ctx;
   auto solver = make_z3_solver(ctx);
   solver->set_deadline_ms(1);
-  // Factoring a product of two 32-bit primes cannot finish in a
-  // millisecond (without the deadline, Z3 does not answer it within two
-  // minutes).
-  ExprRef x = ctx.var("x", 64);
-  ExprRef y = ctx.var("y", 64);
-  ExprRef limit = ctx.constant(1ull << 32, 64);
-  std::vector<ExprRef> query = {
-      ctx.eq(ctx.mul(x, y), ctx.constant(2654435761ull * 3735928579ull, 64)),
-      ctx.ugt(x, ctx.constant(1, 64)), ctx.ugt(y, ctx.constant(1, 64)),
-      ctx.ult(x, limit), ctx.ult(y, limit)};
-  EXPECT_EQ(solver->check(query, nullptr), CheckResult::kUnknown);
+  // Without the deadline, Z3 does not answer this within two minutes.
+  EXPECT_EQ(solver->check(factoring_query(ctx), nullptr), CheckResult::kUnknown);
   EXPECT_EQ(solver->stats().unknown, 1u);
   solver->set_deadline_ms(0);
+  ExprRef x = ctx.var("x", 64);
   std::vector<ExprRef> trivial = {ctx.eq(x, ctx.constant(7, 64))};
   EXPECT_EQ(solver->check(trivial, nullptr), CheckResult::kSat);
 }
