@@ -138,10 +138,14 @@ struct EngineInstance {
   std::shared_ptr<void> keepalive;  // extra executor state (e.g. the lifter)
   std::unique_ptr<smt::Context> ctx;
   std::unique_ptr<core::Executor> executor;
+  RobustnessOptions robust;  // the setup's backend choice
 
-  core::EngineStats explore(core::EngineOptions options = {}) {
-    core::DseEngine engine(*executor, smt::make_z3_solver(*ctx), options);
-    return engine.explore();
+  core::EngineStats explore(
+      core::EngineOptions options = {},
+      const core::DseEngine::PathCallback& on_path = nullptr) {
+    core::DseEngine engine(*executor, make_robust_solver(robust, *ctx),
+                           options);
+    return engine.explore(on_path);
   }
 };
 
@@ -155,6 +159,7 @@ inline EngineInstance make_engine(std::string label, const std::string& engine,
   e.keepalive = std::move(r.keepalive);
   e.ctx = std::move(r.ctx);
   e.executor = std::move(r.executor);
+  e.robust = s.robust;
   return e;
 }
 

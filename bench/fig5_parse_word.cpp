@@ -14,8 +14,7 @@ namespace {
 
 std::map<uint32_t, uint32_t> collect_failures(bench::EngineInstance& engine) {
   std::map<uint32_t, uint32_t> failures;  // id -> witness x
-  core::DseEngine dse(*engine.executor, smt::make_z3_solver(*engine.ctx));
-  dse.explore([&](const core::PathResult& path) {
+  engine.explore({}, [&](const core::PathResult& path) {
     for (const core::Failure& f : path.trace.failures) {
       uint32_t x = 0;
       for (unsigned i = 0; i < path.trace.input_vars.size() && i < 4; ++i)

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <fstream>
 #include <mutex>
 #include <new>
 #include <span>
@@ -20,13 +19,6 @@
 namespace binsym::core {
 
 namespace {
-
-void dump_query(const std::string& dir, uint64_t index, smt::Context& ctx,
-                const std::vector<smt::ExprRef>& query) {
-  std::ofstream file(dir + strprintf("/query-%06llu.smt2",
-                                     static_cast<unsigned long long>(index)));
-  if (file) smt::print_query(file, ctx, query);
-}
 
 /// Assemble the final Finding record for a detection (an OracleHit or an
 /// OracleCandidate) on `trace`: dedup-key fields, SMT-LIB rendering of the
@@ -92,40 +84,7 @@ class AssertionStack {
 }  // namespace
 
 void EngineStats::merge(const EngineStats& other) {
-  paths += other.paths;
-  flip_attempts += other.flip_attempts;
-  feasible_flips += other.feasible_flips;
-  infeasible_flips += other.infeasible_flips;
-  divergences += other.divergences;
-  failures += other.failures;
-  max_branch_depth = std::max(max_branch_depth, other.max_branch_depth);
-  instructions += other.instructions;
-  store_hits += other.store_hits;
-  store_misses += other.store_misses;
-  store_entries += other.store_entries;
-  sliced_constraints += other.sliced_constraints;
-  query_nodes_total += other.query_nodes_total;
-  query_nodes_max = std::max(query_nodes_max, other.query_nodes_max);
-  findings += other.findings;
-  finding_dupes += other.finding_dupes;
-  candidates_checked += other.candidates_checked;
-  candidates_feasible += other.candidates_feasible;
-  static_proved += other.static_proved;
-  static_unknown += other.static_unknown;
-  static_mismatches += other.static_mismatches;
-  uop_blocks_compiled += other.uop_blocks_compiled;
-  uop_cache_hits += other.uop_cache_hits;
-  uop_guard_bails += other.uop_guard_bails;
-  uop_invalidations += other.uop_invalidations;
-  pages_clean_skipped += other.pages_clean_skipped;
-  exprs_interned += other.exprs_interned;
-  intern_hits += other.intern_hits;
-  arena_bytes += other.arena_bytes;
-  queries_unknown += other.queries_unknown;
-  flips_skipped_unknown += other.flips_skipped_unknown;
-  worker_errors += other.worker_errors;
-  jobs_requeued += other.jobs_requeued;
-  jobs_poisoned += other.jobs_poisoned;
+  BINSYM_ENGINE_COUNTERS(BINSYM_COUNTER_MERGE, BINSYM_NO_SOLVER_ROWS)
   if (other.incomplete) {
     incomplete = true;
     if (incomplete_reason.empty()) incomplete_reason = other.incomplete_reason;
@@ -154,7 +113,7 @@ std::vector<smt::ExprRef> flip_query(smt::Context& ctx, const PathTrace& trace,
 }
 
 /// Exploration-wide state every worker touches. The frontier has its own
-/// lock; the path/dump counters are atomics; callback invocation and stats
+/// lock; the path counter is atomic; callback invocation and stats
 /// merging serialize on `sink_mutex`.
 struct DseEngine::Shared {
   Frontier frontier;
@@ -162,7 +121,6 @@ struct DseEngine::Shared {
   const PathCallback& on_path;
   FindingLog& findings;  // internally locked (finding.hpp)
   std::atomic<uint64_t> path_counter{0};
-  std::atomic<uint64_t> dump_counter{0};
   std::mutex sink_mutex;
   EngineStats totals;
   // Resource budgets (worker_loop polls both between jobs).
@@ -198,14 +156,6 @@ DseEngine::DseEngine(WorkerFactory factory, EngineOptions options)
 }
 
 DseEngine::~DseEngine() = default;
-
-smt::Solver& DseEngine::solver() {
-  if (!solver_)
-    throw std::logic_error(
-        "DseEngine::solver(): workers own their solvers in the "
-        "worker-factory form");
-  return *solver_;
-}
 
 std::unique_ptr<smt::Solver> DseEngine::wrap_solver(
     std::unique_ptr<smt::Solver> raw) {
@@ -341,9 +291,6 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
         local.query_nodes_total += nodes;
         local.query_nodes_max = std::max(local.query_nodes_max, nodes);
       }
-      if (!opts.smtlib_dump_dir.empty())
-        dump_query(opts.smtlib_dump_dir, shared.dump_counter.fetch_add(1) + 1,
-                   ctx, query);
 
       const smt::QueryCache::Key key = smt::QueryCache::key_for(query);
       // The query's distinct variables are the store's collision

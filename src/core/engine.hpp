@@ -37,6 +37,7 @@
 #include "smt/cache.hpp"
 #include "smt/solver.hpp"
 #include "smt/store.hpp"
+#include "support/counters.hpp"
 
 namespace binsym::core {
 
@@ -76,12 +77,6 @@ struct EngineOptions {
   /// per query, accumulated into EngineStats. Costs one DAG walk per flip;
   /// meant for the SMT ablation bench, off in production explorations.
   bool measure_query_nodes = false;
-  /// When non-empty: write every effective (sliced) query, branch flips and
-  /// oracle candidates alike, as a standalone SMT-LIB file
-  /// (query-000001.smt2, ...) into this directory — a reproducibility
-  /// artifact (any SMT-LIB solver can replay the exploration's queries).
-  /// Numbering is a global claim order across workers.
-  std::string smtlib_dump_dir;
   // -- Static analysis consumers (src/analysis). Like the cache and the
   // store, pruning may change only cost, never behavior: candidates
   // it skips are proven unsat, so path sets and finding sets are invariant
@@ -123,67 +118,95 @@ struct EngineOptions {
   std::shared_ptr<support::FaultPlan> fault_plan;
 };
 
+/// Every exploration counter, declared once. A row is X(field, merge,
+/// section, label):
+///   field   — the EngineStats member (uint64_t, starts at 0);
+///   merge   — how EngineStats::merge folds a worker's value in: `sum`,
+///             `max`, or `set` (written by the engine after the workers
+///             join, so merge leaves it alone);
+///   section — the engine_stats_report line it prints on (core/stats.hpp);
+///   label   — its `label=value` key on that line.
+/// SOLVER(section) marks where that section's smt::SolverStats counters
+/// (BINSYM_SOLVER_COUNTERS) go on the line. Adding a counter is one row
+/// plus its write site: merge(), the report and tests/test_stats.cpp
+/// follow the table.
+#define BINSYM_ENGINE_COUNTERS(X, SOLVER)                                     \
+  X(paths, sum, kHeader, "paths") /* completed runs == explored paths */      \
+  X(failures, sum, kHeader, "failures") /* report_fail events, all paths */   \
+  X(instructions, sum, kHeader, "instructions")                               \
+  X(flip_attempts, sum, kFlips, "attempted") /* queries for branch flips */   \
+  X(feasible_flips, sum, kFlips, "feasible")                                  \
+  X(infeasible_flips, sum, kFlips, "infeasible")                              \
+  /* reruns that did not reach the flip depth */                              \
+  X(divergences, sum, kFlips, "divergences")                                  \
+  X(max_branch_depth, max, kFlips, "max-depth")                               \
+  /* worklist high-water mark (pending jobs) */                               \
+  X(peak_frontier, set, kFlips, "peak-frontier")                              \
+  SOLVER(kSolver)                                                             \
+  /* prefix constraints dropped by slicing, summed over all flip queries */   \
+  X(sliced_constraints, sum, kOpts, "sliced-out")                             \
+  SOLVER(kOpts)                                                               \
+  /* -- Bug-finding oracles (finding.hpp). Zero unless an ExecObserver was    \
+     attached to the executors. */                                            \
+  X(findings, sum, kOracles, "findings") /* unique findings inserted */       \
+  X(finding_dupes, sum, kOracles, "dupes") /* collapsed by the dedup key */   \
+  /* candidates through the answer path, and those that came back sat */      \
+  X(candidates_checked, sum, kOracles, "candidates")                          \
+  X(candidates_feasible, sum, kOracles, "feasible")                           \
+  /* -- Static candidate pruning (EngineOptions::candidate_prune). Zero       \
+     unless a prover was installed. */                                        \
+  X(static_proved, sum, kStatic, "proved") /* proven unsat, solver skipped */ \
+  X(static_unknown, sum, kStatic, "unknown") /* the prover passed through */  \
+  /* differential mode: proven-yet-sat (bug!) */                              \
+  X(static_mismatches, sum, kStatic, "mismatches")                            \
+  /* -- Micro-op fast path (interp/uop.hpp). Zero with uop_fastpath off or    \
+     for executors without the fast path. */                                  \
+  X(uop_blocks_compiled, sum, kUops, "blocks") /* straight-line blocks */     \
+  X(uop_cache_hits, sum, kUops, "hits") /* block lookups from the cache */    \
+  X(uop_guard_bails, sum, kUops, "bails") /* mid-block exits to spec */       \
+  X(uop_invalidations, sum, kUops, "invalidations") /* dropped by stores */   \
+  /* shadow lookups skipped via clean page summaries */                       \
+  X(pages_clean_skipped, sum, kUops, "clean-pages")                           \
+  /* effective query DAG nodes, summed, and the largest single query (both    \
+     only with measure_query_nodes) */                                        \
+  X(query_nodes_total, sum, kQueryNodes, "total")                             \
+  X(query_nodes_max, max, kQueryNodes, "max")                                 \
+  /* -- Expression arena (smt/context.hpp), summed over worker contexts:      \
+     nodes allocated, builder calls answered from the intern table, and       \
+     bytes held by arenas + intern tables. */                                 \
+  X(exprs_interned, sum, kIntern, "interned")                                 \
+  X(intern_hits, sum, kIntern, "hits")                                        \
+  X(arena_bytes, sum, kIntern, "arena-bytes")                                 \
+  /* -- Persistent store (EngineOptions::solver_store). Zero without one. */  \
+  X(store_hits, sum, kStore, "hits") /* flips answered by the store */        \
+  X(store_misses, sum, kStore, "misses") /* consulted, then went further */   \
+  X(store_entries, sum, kStore, "entries") /* held after the final flush */   \
+  /* -- Robustness (docs/ROBUSTNESS.md). Zero on a healthy run with no        \
+     deadlines configured. Checks that came back kUnknown (deadline,          \
+     theory limit, injected), and flips explicitly skipped on kUnknown        \
+     (never counted as infeasible). */                                        \
+  X(queries_unknown, sum, kRobust, "queries-unknown")                         \
+  X(flips_skipped_unknown, sum, kRobust, "skipped-unknown")                   \
+  SOLVER(kRobust)                                                             \
+  X(worker_errors, sum, kRobust, "worker-errors") /* jobs that threw */       \
+  X(jobs_requeued, sum, kRobust, "requeued") /* retried on the frontier */    \
+  /* errored jobs dropped after the retry budget (max_job_retries) */         \
+  X(jobs_poisoned, sum, kRobust, "poisoned")
+
+/// Expands SOLVER(section) to nothing, for the uses of
+/// BINSYM_ENGINE_COUNTERS that concern EngineStats's own members only.
+#define BINSYM_NO_SOLVER_ROWS(section)
+
 /// Exploration-wide counters. Each worker accumulates a private copy;
 /// merge() folds them under the engine's sink mutex, so readers only ever
 /// see the final merged value explore() returns.
 struct EngineStats {
-  uint64_t paths = 0;            // completed runs == explored paths
-  uint64_t flip_attempts = 0;    // solver queries issued for branch flips
-  uint64_t feasible_flips = 0;
-  uint64_t infeasible_flips = 0;
-  uint64_t divergences = 0;      // reruns that did not reach the flip depth
-  uint64_t failures = 0;         // report_fail events across all paths
-  uint64_t max_branch_depth = 0;
-  uint64_t instructions = 0;
-  // Always 0: no model-reuse pre-check exists; perfbench/bench_e2e reads them.
+  BINSYM_ENGINE_COUNTERS(BINSYM_COUNTER_FIELD, BINSYM_NO_SOLVER_ROWS)
+  // Always 0: no model-reuse pre-check exists, and snapshot/fork execution
+  // is gone; perfbench/bench_e2e reads them.
   uint64_t presolve_hits = 0, presolve_misses = 0;
-  // -- Persistent store (EngineOptions::solver_store). Zero without one.
-  uint64_t store_hits = 0;     // flips answered by the persistent store
-  uint64_t store_misses = 0;   // store-consulted flips that went further
-  uint64_t store_entries = 0;  // entries held after the final flush
-  uint64_t sliced_constraints = 0;  // prefix constraints dropped by slicing,
-                                    // summed over all flip queries
-  uint64_t query_nodes_total = 0;   // effective query DAG nodes, summed
-  uint64_t query_nodes_max = 0;     // ... and the largest single query
-                                    // (both only with measure_query_nodes)
-  // Always 0: snapshot/fork execution is gone; perfbench/bench_e2e reads them.
   uint64_t snapshot_hits = 0, snapshot_misses = 0, snapshot_captures = 0,
            snapshot_evictions = 0, snapshot_pages_copied = 0;
-  // -- Bug-finding oracles (finding.hpp). Zero unless an ExecObserver was
-  // attached to the executors.
-  uint64_t findings = 0;             // unique findings this engine inserted
-  uint64_t finding_dupes = 0;        // detections collapsed by the dedup key
-  uint64_t candidates_checked = 0;   // candidates through the answer path
-  uint64_t candidates_feasible = 0;  // ... that came back sat (=> finding)
-  // -- Static candidate pruning (EngineOptions::candidate_prune). Zero
-  // unless a prover was installed.
-  uint64_t static_proved = 0;     // candidates proven unsat, solver skipped
-  uint64_t static_unknown = 0;    // candidates the prover passed through
-  uint64_t static_mismatches = 0; // differential mode: proven-yet-sat (bug!)
-  // -- Micro-op fast path (interp/uop.hpp). Zero with uop_fastpath off or
-  // for executors without the fast path.
-  uint64_t uop_blocks_compiled = 0;  // straight-line blocks lowered
-  uint64_t uop_cache_hits = 0;       // block lookups served from the cache
-  uint64_t uop_guard_bails = 0;      // mid-block exits to the spec path
-  uint64_t uop_invalidations = 0;    // blocks dropped by stores into them
-  uint64_t pages_clean_skipped = 0;  // shadow lookups skipped via clean
-                                     // page summaries
-  // -- Expression arena (smt/context.hpp), summed over worker contexts.
-  uint64_t exprs_interned = 0;  // nodes allocated in the arena
-  uint64_t intern_hits = 0;     // builder calls answered from the intern
-                                // table
-  uint64_t arena_bytes = 0;     // bytes held by arenas + intern tables
-  // -- Robustness (docs/ROBUSTNESS.md). Zero on a healthy run with no
-  // deadlines configured.
-  uint64_t queries_unknown = 0;      // solver checks that came back kUnknown
-                                     // (deadline, theory limit, injected)
-  uint64_t flips_skipped_unknown = 0;  // flips explicitly skipped on kUnknown
-                                       // (never counted as infeasible)
-  uint64_t worker_errors = 0;        // jobs whose processing threw
-  uint64_t jobs_requeued = 0;        // errored jobs retried on the frontier
-  uint64_t jobs_poisoned = 0;        // errored jobs dropped after the retry
-                                     // budget (max_job_retries)
-  uint64_t peak_frontier = 0;    // worklist high-water mark (pending jobs)
   unsigned workers = 1;          // worker count the exploration ran with
   double seconds = 0;            // wall-clock for the whole exploration
   /// True when the exploration ended before exhausting the frontier for a
@@ -195,8 +218,9 @@ struct EngineStats {
   std::string solver_name;       // backend name incl. wrappers, for reports
   smt::SolverStats solver;       // merged across workers
 
-  /// Fold one worker's partial stats in (solver stats merge too; wall-clock
-  /// `seconds`, `workers` and `peak_frontier` are set by the engine).
+  /// Fold one worker's partial stats in, row by row as the table says
+  /// (solver stats merge too; `workers` and `seconds` are set by the
+  /// engine, and the first incomplete_reason wins).
   void merge(const EngineStats& other);
 };
 
@@ -253,10 +277,6 @@ class DseEngine {
   /// Run the exploration to completion (or `max_paths`) starting from the
   /// all-zero input seed.
   EngineStats explore(const PathCallback& on_path = nullptr);
-
-  /// The wrapped solver of the single-executor form. Only valid for that
-  /// constructor (workers own their solvers privately).
-  smt::Solver& solver();
 
   /// Deduplicated findings collected by the last explore() (empty when no
   /// ExecObserver was attached to the executors). Findings are inserted in

@@ -13,8 +13,35 @@
 
 namespace binsym::core {
 
-/// Multi-line human-readable exploration report: paths, flips, worker
-/// count, and the solver section including query-cache hits/misses.
+/// The lines of engine_stats_report, in order: S(id, name, presence). A
+/// counter row's `section` (BINSYM_ENGINE_COUNTERS, BINSYM_SOLVER_COUNTERS)
+/// is one of these ids; a line reads `name: label=value ...`, except the
+/// header, which has no name. A kOptional line is elided when every
+/// counter on it is zero (docs/BENCHMARKS.md lists them; check_docs.py
+/// keeps that list in step with this table).
+#define BINSYM_REPORT_SECTIONS(S)          \
+  S(kHeader, "", kRequired)                \
+  S(kFlips, "flips", kRequired)            \
+  S(kSolver, "solver", kRequired)          \
+  S(kOpts, "opts", kRequired)              \
+  S(kOracles, "oracles", kOptional)        \
+  S(kStatic, "static", kOptional)          \
+  S(kUops, "uops", kOptional)              \
+  S(kQueryNodes, "query-nodes", kOptional) \
+  S(kIntern, "intern", kOptional)          \
+  S(kStore, "store", kOptional)            \
+  S(kRobust, "robust", kOptional)
+
+enum class SectionPresence { kRequired, kOptional };
+enum class ReportSection {
+#define BINSYM_SECTION_ID(id, name, presence) id,
+  BINSYM_REPORT_SECTIONS(BINSYM_SECTION_ID)
+#undef BINSYM_SECTION_ID
+};
+
+/// Multi-line human-readable exploration report: one line per section
+/// above, every counter of the two tables on its section's line, then an
+/// `incomplete:` line for a partial run.
 std::string engine_stats_report(const EngineStats& stats);
 
 /// Accumulates branch-direction coverage across explored paths, keyed by

@@ -4,9 +4,8 @@
 // declarations for every free variable, one `assert` per path constraint and
 // a final `check-sat`. Shared sub-DAGs are emitted once through `let`
 // bindings so the printed query size reflects the DAG size, not the tree
-// size. Used for `--smtlib-dump`, the findings' query files, debugging and
-// golden tests; tests hand the output to Z3's own parser as the
-// independent reader.
+// size. Used for the findings' query files, debugging and golden tests;
+// tests hand the output to Z3's own parser as the independent reader.
 #pragma once
 
 #include <ostream>

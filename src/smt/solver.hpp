@@ -17,6 +17,7 @@
 #include "smt/context.hpp"
 #include "smt/eval.hpp"
 #include "smt/expr.hpp"
+#include "support/counters.hpp"
 #include "support/fault.hpp"
 
 namespace binsym::smt {
@@ -28,35 +29,37 @@ enum class CheckResult { kSat, kUnsat, kUnknown };
 /// Human-readable name for a CheckResult ("sat", "unsat", "unknown").
 const char* check_result_name(CheckResult result);
 
+/// Every SolverStats counter, declared once: X(field, merge, section,
+/// label), as BINSYM_ENGINE_COUNTERS (core/engine.hpp) describes. `section`
+/// names the core::engine_stats_report line it prints on (core/stats.hpp);
+/// the engine table marks where on that line.
+#define BINSYM_SOLVER_COUNTERS(X)                                             \
+  X(queries, sum, kSolver, "queries")                                         \
+  X(sat, sum, kSolver, "sat")                                                 \
+  X(unsat, sum, kSolver, "unsat")                                             \
+  X(unknown, sum, kSolver, "unknown")                                         \
+  /* filled in by the engine's worker loop from its per-worker QueryCache */  \
+  X(cache_hits, sum, kSolver, "cache-hits")                                   \
+  X(cache_misses, sum, kSolver, "cache-misses")                               \
+  /* check_assuming() calls reaching a backend */                             \
+  X(incremental_checks, sum, kOpts, "incremental-checks")                     \
+  /* scoped assertions live per such check, summed (the assumption-reuse      \
+     depth) */                                                                \
+  X(reused_assertions, sum, kOpts, "reused-assertions")                       \
+  /* FailoverSolver: queries the primary backend gave up on (unknown/         \
+     timeout/exception) that the secondary decided */                         \
+  X(failover_rescues, sum, kRobust, "failover-rescues")
+
 /// Per-solver counters, accumulated across every check*() call.
 /// Thread-safety: plain data owned by the (single-threaded) solver; the
 /// engine merges per-worker copies after the workers join.
 struct SolverStats {
-  uint64_t queries = 0;
-  uint64_t sat = 0;
-  uint64_t unsat = 0;
-  uint64_t unknown = 0;
-  uint64_t cache_hits = 0;          // filled in by the engine's worker loop
-  uint64_t cache_misses = 0;        // from its per-worker QueryCache
-  uint64_t incremental_checks = 0;  // check_assuming() calls reaching a backend
-  uint64_t reused_assertions = 0;   // scoped assertions live per such check,
-                                    // summed (the assumption-reuse depth)
-  uint64_t failover_rescues = 0;    // FailoverSolver: queries the primary
-                                    // backend gave up on (unknown/timeout/
-                                    // exception) that the secondary decided
-  double solve_seconds = 0;         // wall time spent inside check*()
+  BINSYM_SOLVER_COUNTERS(BINSYM_COUNTER_FIELD)
+  double solve_seconds = 0;  // wall time spent inside check*()
 
   /// Fold another solver's counters in (per-worker stats aggregation).
   void merge(const SolverStats& other) {
-    queries += other.queries;
-    sat += other.sat;
-    unsat += other.unsat;
-    unknown += other.unknown;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    incremental_checks += other.incremental_checks;
-    reused_assertions += other.reused_assertions;
-    failover_rescues += other.failover_rescues;
+    BINSYM_SOLVER_COUNTERS(BINSYM_COUNTER_MERGE)
     solve_seconds += other.solve_seconds;
   }
 };
@@ -126,8 +129,6 @@ class Solver {
 
   /// Counters accumulated so far (see SolverStats).
   const SolverStats& stats() const { return stats_; }
-  /// Zero the counters (benchmark harnesses re-measuring one instance).
-  void reset_stats() { stats_ = SolverStats{}; }
 
  protected:
   SolverStats stats_;

@@ -1,9 +1,13 @@
 // Tests for exploration tooling: branch coverage accounting, the DFS/BFS
-// search-order ablation (identical path sets on fully-explorable programs)
-// and the executor trace hook.
+// search-order ablation (identical path sets on fully-explorable programs),
+// the stats report and merge, and the executor trace hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "asm/assembler.hpp"
 #include "core/engine.hpp"
@@ -136,146 +140,239 @@ TEST_F(StatsTest, BfsDiscoversShallowPathsFirst) {
   ASSERT_GE(depths.size(), 2u);
 }
 
-// -- engine_stats_report formatting (previously only eyeballed). -------------
+// -- engine_stats_report and EngineStats::merge, driven by the counter
+// tables (BINSYM_ENGINE_COUNTERS, BINSYM_SOLVER_COUNTERS and
+// BINSYM_REPORT_SECTIONS), so a new row is covered without a test edit.
 
-// Count non-overlapping occurrences of `needle` in `haystack`.
-size_t occurrences(const std::string& haystack, const std::string& needle) {
-  size_t n = 0;
-  for (size_t pos = haystack.find(needle); pos != std::string::npos;
-       pos = haystack.find(needle, pos + needle.size()))
-    ++n;
-  return n;
+/// One row of either counter table.
+struct Counter {
+  std::string field;
+  std::string merge;  // "sum", "max" or "set"
+  ReportSection section;
+  std::string label;
+  uint64_t EngineStats::*engine;      // engine rows
+  uint64_t smt::SolverStats::*solver;  // solver rows
+
+  uint64_t& in(EngineStats& stats) const {
+    return engine ? stats.*engine : stats.solver.*solver;
+  }
+};
+
+std::vector<Counter> counters() {
+  std::vector<Counter> rows;
+#define BINSYM_ENGINE_ROW(field, merge, section, label) \
+  rows.push_back({#field, #merge, ReportSection::section, label, \
+                  &EngineStats::field, nullptr});
+#define BINSYM_SOLVER_ROW(field, merge, section, label) \
+  rows.push_back({"solver." #field, #merge, ReportSection::section, label, \
+                  nullptr, &smt::SolverStats::field});
+  BINSYM_ENGINE_COUNTERS(BINSYM_ENGINE_ROW, BINSYM_NO_SOLVER_ROWS)
+  BINSYM_SOLVER_COUNTERS(BINSYM_SOLVER_ROW)
+#undef BINSYM_SOLVER_ROW
+#undef BINSYM_ENGINE_ROW
+  return rows;
+}
+
+struct Section {
+  ReportSection id;
+  std::string name;
+  bool optional;
+};
+
+std::vector<Section> sections() {
+  return {
+#define BINSYM_SECTION_ROW(id, name, presence) \
+  {ReportSection::id, name,                    \
+   SectionPresence::presence == SectionPresence::kOptional},
+      BINSYM_REPORT_SECTIONS(BINSYM_SECTION_ROW)
+#undef BINSYM_SECTION_ROW
+  };
+}
+
+std::vector<std::string> words(const std::string& text) {
+  std::istringstream in(text);
+  return {std::istream_iterator<std::string>(in), {}};
+}
+
+/// The report lines of `section`: the header is the first line, every
+/// other line opens with `name:` (the solver's with `solver[NAME]:`).
+std::vector<std::string> lines_of(const std::string& report,
+                                  const Section& section) {
+  std::istringstream in(report);
+  std::vector<std::string> out;
+  bool first = true;
+  for (std::string line; std::getline(in, line); first = false) {
+    std::string head;
+    std::istringstream(line) >> head;
+    if (section.name.empty()
+            ? first
+            : head.substr(0, head.find_first_of("[:")) == section.name)
+      out.push_back(line);
+  }
+  return out;
+}
+
+size_t count_word(const std::string& text, const std::string& word) {
+  const std::vector<std::string> all = words(text);
+  return std::count(all.begin(), all.end(), word);
 }
 
 TEST_F(StatsTest, ReportListsEveryCounterExactlyOnce) {
-  // Distinct values everywhere, all optional sections populated.
+  // Distinct three-digit values, so every `label=value` word is unique.
   EngineStats stats;
-  stats.paths = 11;
-  stats.failures = 12;
-  stats.instructions = 13;
+  std::set<std::string> table_words;
+  uint64_t next = 101;
+  for (const Counter& c : counters()) {
+    c.in(stats) = next;
+    table_words.insert(c.label + "=" + std::to_string(next++));
+  }
   stats.workers = 3;
   stats.seconds = 1.5;
-  stats.flip_attempts = 14;
-  stats.feasible_flips = 15;
-  stats.infeasible_flips = 16;
-  stats.divergences = 17;
-  stats.max_branch_depth = 18;
-  stats.peak_frontier = 19;
-  stats.sliced_constraints = 22;
-  stats.query_nodes_total = 23;
-  stats.query_nodes_max = 24;
-  stats.findings = 30;
-  stats.finding_dupes = 31;
-  stats.candidates_checked = 32;
-  stats.candidates_feasible = 33;
-  stats.static_proved = 34;
-  stats.static_unknown = 35;
-  stats.static_mismatches = 36;
-  stats.uop_blocks_compiled = 48;
-  stats.uop_cache_hits = 49;
-  stats.uop_guard_bails = 50;
-  stats.uop_invalidations = 51;
-  stats.pages_clean_skipped = 52;
-  stats.exprs_interned = 59;
-  stats.intern_hits = 60;
-  stats.arena_bytes = 61;
-  stats.solver_name = "test-solver";
-  stats.solver.queries = 40;
-  stats.solver.sat = 41;
-  stats.solver.unsat = 42;
-  stats.solver.unknown = 43;
-  stats.solver.cache_hits = 44;
-  stats.solver.cache_misses = 45;
-  stats.solver.incremental_checks = 46;
-  stats.solver.reused_assertions = 47;
-  stats.queries_unknown = 53;
-  stats.flips_skipped_unknown = 54;
-  stats.solver.failover_rescues = 55;
-  stats.worker_errors = 56;
-  stats.jobs_requeued = 57;
-  stats.jobs_poisoned = 58;
-  stats.store_hits = 67;
-  stats.store_misses = 68;
-  stats.store_entries = 69;
+  stats.solver_name = "z3";
   stats.incomplete = true;
   stats.incomplete_reason = "test-incomplete-reason";
+  const std::string report = engine_stats_report(stats);
 
-  std::string report = engine_stats_report(stats);
-  const std::vector<std::string> counters = {
-      "paths=11",          "failures=12",        "instructions=13",
-      "workers=3",         "attempted=14",       "feasible=15",
-      "infeasible=16",     "divergences=17",     "max-depth=18",
-      "peak-frontier=19",  "sliced-out=22",
-      "total=23",          "max=24",             "findings=30",
-      "dupes=31",          "candidates=32",      "feasible=33",
-      "proved=34",         "unknown=35",         "mismatches=36",
-      "blocks=48",         "hits=49",            "bails=50",
-      "invalidations=51",  "clean-pages=52",
-      "queries=40",        "sat=41",             "unsat=42",
-      "unknown=43",        "cache-hits=44",      "cache-misses=45",
-      "incremental-checks=46", "reused-assertions=47", "test-solver",
-      "queries-unknown=53", "skipped-unknown=54", "failover-rescues=55",
-      "worker-errors=56",  "requeued=57",        "poisoned=58",
-      "interned=59",       "hits=60",            "arena-bytes=61",
-      "hits=67",           "misses=68",          "entries=69",
-      "incomplete: test-incomplete-reason",
-  };
-  for (const std::string& counter : counters)
-    EXPECT_EQ(occurrences(report, counter), 1u) << counter << "\n" << report;
+  for (const Section& section : sections())
+    ASSERT_EQ(lines_of(report, section).size(), 1u)
+        << section.name << "\n" << report;
+  for (const Counter& c : counters()) {
+    const std::string word = c.label + "=" + std::to_string(c.in(stats));
+    EXPECT_EQ(count_word(report, word), 1u) << c.field << "\n" << report;
+    for (const Section& section : sections()) {
+      if (section.id != c.section) continue;
+      EXPECT_EQ(count_word(lines_of(report, section).front(), word), 1u)
+          << c.field << " is not on the " << section.name << " line";
+    }
+  }
+  // Every other `key=value` is one of the hand-written tails.
+  std::multiset<std::string> rest;
+  for (const std::string& word : words(report))
+    if (word.find('=') != std::string::npos && !table_words.count(word))
+      rest.insert(word.substr(0, word.find('=')));
+  EXPECT_EQ(rest, (std::multiset<std::string>{"workers", "seconds",
+                                              "solve-time", "avg"}))
+      << report;
+  EXPECT_EQ(count_word(report, "workers=3"), 1u) << report;
+  EXPECT_EQ(count_word(report, "seconds=1.500"), 1u) << report;
+  EXPECT_NE(report.find("\nincomplete: test-incomplete-reason\n"),
+            std::string::npos);
 }
 
 TEST_F(StatsTest, ReportElidesZeroValuedOptionalSections) {
-  // A minimal sequential exploration: no oracles were attached,
-  // query-node measurement was off — those sections must not
-  // clutter the report; the always-on sections must stay.
+  // A minimal exploration prints only the required sections; any nonzero
+  // counter resurrects its section, and only it.
   EngineStats stats;
   stats.solver_name = "z3";
-  std::string report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "oracles:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "static:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "uops:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "query-nodes:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "intern:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "store:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "robust:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "incomplete:"), 0u) << report;
-  EXPECT_EQ(occurrences(report, "paths="), 1u);
-  EXPECT_EQ(occurrences(report, "flips:"), 1u);
-  EXPECT_EQ(occurrences(report, "solver[z3]:"), 1u);
-  EXPECT_EQ(occurrences(report, "opts:"), 1u);
-
-  // Any nonzero counter resurrects its section — and only it.
-  stats.candidates_checked = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "oracles:"), 1u);
-  EXPECT_EQ(occurrences(report, "static:"), 0u);
-  stats.static_proved = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "static:"), 1u);
-  EXPECT_EQ(occurrences(report, "uops:"), 0u);
-  stats.uop_cache_hits = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "uops:"), 1u);
-  stats.query_nodes_total = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "query-nodes:"), 1u);
-  EXPECT_EQ(occurrences(report, "intern:"), 0u);
-  stats.exprs_interned = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "intern:"), 1u);
-  EXPECT_EQ(occurrences(report, "store:"), 0u);
-  stats.store_misses = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "store:"), 1u);
-  EXPECT_EQ(occurrences(report, "robust:"), 0u);
-  stats.flips_skipped_unknown = 1;
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "robust:"), 1u);
-  EXPECT_EQ(occurrences(report, "incomplete:"), 0u);
+  for (const Section& section : sections())
+    EXPECT_EQ(lines_of(engine_stats_report(stats), section).size(),
+              section.optional ? 0u : 1u)
+        << section.name;
+  for (const Counter& c : counters()) {
+    EngineStats one = stats;
+    c.in(one) = 1;
+    const std::string report = engine_stats_report(one);
+    for (const Section& section : sections())
+      EXPECT_EQ(lines_of(report, section).size(),
+                section.optional && section.id != c.section ? 0u : 1u)
+          << c.field << " / " << section.name << "\n" << report;
+  }
+  EXPECT_EQ(engine_stats_report(stats).find("incomplete:"), std::string::npos);
   stats.incomplete = true;
   stats.incomplete_reason = "wall-clock deadline";
-  report = engine_stats_report(stats);
-  EXPECT_EQ(occurrences(report, "incomplete: wall-clock deadline"), 1u);
+  EXPECT_NE(engine_stats_report(stats).find("\nincomplete: wall-clock "
+                                            "deadline\n"),
+            std::string::npos);
+}
+
+TEST_F(StatsTest, FullReportGolden) {
+  // Pins the format itself, independently of the tables that generate it.
+  EngineStats s;
+  s.paths = 11; s.failures = 12; s.instructions = 13;
+  s.workers = 3; s.seconds = 1.5;
+  s.flip_attempts = 14; s.feasible_flips = 15; s.infeasible_flips = 16;
+  s.divergences = 17; s.max_branch_depth = 18; s.peak_frontier = 19;
+  s.solver_name = "test-solver";
+  smt::SolverStats& v = s.solver;
+  v.queries = 40; v.sat = 41; v.unsat = 42; v.unknown = 43;
+  v.cache_hits = 44; v.cache_misses = 45; v.solve_seconds = 2.25;
+  s.sliced_constraints = 22;
+  v.incremental_checks = 46; v.reused_assertions = 47;
+  s.findings = 30; s.finding_dupes = 31;
+  s.candidates_checked = 32; s.candidates_feasible = 33;
+  s.static_proved = 34; s.static_unknown = 35; s.static_mismatches = 36;
+  s.uop_blocks_compiled = 48; s.uop_cache_hits = 49; s.uop_guard_bails = 50;
+  s.uop_invalidations = 51; s.pages_clean_skipped = 52;
+  s.query_nodes_total = 23; s.query_nodes_max = 24;
+  s.exprs_interned = 59; s.intern_hits = 60; s.arena_bytes = 61;
+  s.store_hits = 67; s.store_misses = 68; s.store_entries = 69;
+  s.queries_unknown = 53; s.flips_skipped_unknown = 54;
+  v.failover_rescues = 55;
+  s.worker_errors = 56; s.jobs_requeued = 57; s.jobs_poisoned = 58;
+  s.incomplete = true;
+  s.incomplete_reason = "test-incomplete-reason";
+  EXPECT_EQ(
+      engine_stats_report(s),
+      "paths=11 failures=12 instructions=13 workers=3 seconds=1.500\n"
+      "flips: attempted=14 feasible=15 infeasible=16 divergences=17 "
+      "max-depth=18 peak-frontier=19\n"
+      "solver[test-solver]: queries=40 sat=41 unsat=42 unknown=43 "
+      "cache-hits=44 cache-misses=45 solve-time=2.250s\n"
+      "opts: sliced-out=22 incremental-checks=46 reused-assertions=47 "
+      "(avg depth 1.0)\n"
+      "oracles: findings=30 dupes=31 candidates=32 feasible=33\n"
+      "static: proved=34 unknown=35 mismatches=36\n"
+      "uops: blocks=48 hits=49 bails=50 invalidations=51 clean-pages=52\n"
+      "query-nodes: total=23 max=24 avg=1.6\n"
+      "intern: interned=59 hits=60 arena-bytes=61\n"
+      "store: hits=67 misses=68 entries=69\n"
+      "robust: queries-unknown=53 skipped-unknown=54 failover-rescues=55 "
+      "worker-errors=56 requeued=57 poisoned=58\n"
+      "incomplete: test-incomplete-reason\n");
+}
+
+TEST_F(StatsTest, MergeFollowsEachRowsRule) {
+  // Merge both ways round, so a max row sees a larger and a smaller value.
+  EngineStats small, large;
+  uint64_t next = 1;
+  for (const Counter& c : counters()) {
+    c.in(small) = next;
+    c.in(large) = 1000 + next++;
+  }
+  small.workers = 2; small.seconds = 0.5; small.solver.solve_seconds = 0.25;
+  large.workers = 4; large.seconds = 8; large.solver.solve_seconds = 1;
+  large.incomplete = true;
+  large.incomplete_reason = "large";
+
+  EngineStats small_large = small, large_small = large;
+  small_large.merge(large);
+  large_small.merge(small);
+  for (const Counter& c : counters()) {
+    const uint64_t s = c.in(small), l = c.in(large);
+    EXPECT_EQ(c.in(small_large),
+              c.merge == "sum" ? s + l : c.merge == "max" ? l : s)
+        << c.merge << " " << c.field;
+    EXPECT_EQ(c.in(large_small), c.merge == "sum" ? s + l : l)
+        << c.merge << " " << c.field;
+  }
+  // The engine sets these after the workers join; merge leaves them.
+  EXPECT_EQ(small_large.workers, 2u);
+  EXPECT_EQ(small_large.seconds, 0.5);
+  EXPECT_EQ(small_large.solver.solve_seconds, 1.25);
+  // The first incomplete_reason wins.
+  EXPECT_TRUE(small_large.incomplete);
+  EXPECT_EQ(small_large.incomplete_reason, "large");
+  EngineStats first;
+  first.incomplete = true;
+  first.incomplete_reason = "first";
+  first.merge(large);
+  EXPECT_EQ(first.incomplete_reason, "first");
+  // The rules the report and the engine rely on.
+  std::map<std::string, std::string> rule;
+  for (const Counter& c : counters()) rule[c.field] = c.merge;
+  EXPECT_EQ(rule["max_branch_depth"], "max");
+  EXPECT_EQ(rule["query_nodes_max"], "max");
+  EXPECT_EQ(rule["peak_frontier"], "set");
 }
 
 TEST_F(StatsTest, TraceHookSeesEveryRetiredInstruction) {

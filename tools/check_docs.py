@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (CI `docs` job).
 
-Four checks, all hard failures:
+Five checks, all hard failures:
 
 1. Intra-repo markdown links. Every relative link target in the repo's
    markdown files must resolve to an existing file (anchors are validated
@@ -19,7 +19,15 @@ Four checks, all hard failures:
    docs/ORACLES.md, and every such section must name a real oracle — the
    reference can neither rot nor invent detectors.
 
-4. USER_GUIDE quickstart (with --run-quickstart). Every fenced `sh` block
+4. Stats-report sections. The report's sections and counters are declared
+   in C++ tables (BINSYM_REPORT_SECTIONS in src/core/stats.hpp,
+   BINSYM_ENGINE_COUNTERS in src/core/engine.hpp, BINSYM_SOLVER_COUNTERS
+   in src/smt/solver.hpp). Every counter row must name a declared section,
+   and every optional section, the kind the report elides when its
+   counters are all zero, must be named in docs/BENCHMARKS.md's elision
+   note.
+
+5. USER_GUIDE quickstart (with --run-quickstart). Every fenced `sh` block
    in docs/USER_GUIDE.md is executed verbatim from the repository root,
    in order, failing on the first non-zero exit — the tutorial's commands
    must actually work against the build tree.
@@ -207,6 +215,49 @@ def check_solvers_doc(explore_binary):
     return errors
 
 
+# A row of BINSYM_REPORT_SECTIONS: S(kId, "name", kPresence).
+SECTION_ROW_RE = re.compile(r'^\s*S\((k\w+), "([a-z-]*)", (k\w+)\)')
+# A row of a counter table: X(field, merge, kSection, "label").
+COUNTER_ROW_RE = re.compile(r'^\s*X\((\w+), (\w+), (k\w+), "([a-z-]+)"\)')
+# The sentence of docs/BENCHMARKS.md that lists the elided sections.
+ELISION_NOTE_RE = re.compile(r"\(The (.*?) sections are elided when",
+                             re.DOTALL)
+
+
+def check_stats_sections():
+    """Counter rows name declared sections; docs/BENCHMARKS.md's elision
+    note names every optional section."""
+    sections = {}
+    for line in (REPO / "src/core/stats.hpp").read_text().splitlines():
+        match = SECTION_ROW_RE.match(line)
+        if match:
+            sections[match.group(1)] = (match.group(2), match.group(3))
+    if not any(p == "kOptional" for _, p in sections.values()):
+        return ["src/core/stats.hpp: no optional BINSYM_REPORT_SECTIONS row "
+                "(bad parse?)"]
+    errors, rows = [], 0
+    for table in ("src/core/engine.hpp", "src/smt/solver.hpp"):
+        for line in (REPO / table).read_text().splitlines():
+            match = COUNTER_ROW_RE.match(line)
+            if not match:
+                continue
+            rows += 1
+            if match.group(3) not in sections:
+                errors.append(f"{table}: counter {match.group(1)} names "
+                              f"undeclared section {match.group(3)}")
+    if rows == 0:
+        errors.append("no counter table rows found (bad parse?)")
+    doc = (REPO / "docs" / "BENCHMARKS.md").read_text(encoding="utf-8")
+    note = ELISION_NOTE_RE.search(doc)
+    if not note:
+        return errors + ["docs/BENCHMARKS.md: elision note not found"]
+    for name, presence in sections.values():
+        if presence == "kOptional" and f"`{name}:`" not in note.group(1):
+            errors.append(f"docs/BENCHMARKS.md: optional report section "
+                          f"`{name}:` missing from the elision note")
+    return errors
+
+
 def quickstart_blocks():
     """The fenced `sh` blocks of docs/USER_GUIDE.md, in order."""
     blocks, current, in_sh = [], [], False
@@ -253,7 +304,7 @@ def main():
                              "against the build tree")
     args = parser.parse_args()
 
-    errors = check_links()
+    errors = check_links() + check_stats_sections()
     if args.explore:
         errors += check_cli_flags(args.explore, "BENCHMARKS.md")
         errors += check_oracle_reference(args.explore)
