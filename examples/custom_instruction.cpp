@@ -51,7 +51,7 @@ int main() {
   core::Program program = workloads::load_workload_or_exit(table, "madd-kernel");
   smt::Context ctx;
   core::BinSymExecutor executor(ctx, decoder, registry, program);
-  core::DseEngine engine(executor, smt::make_z3_solver(ctx));
+  core::DseEngine engine(executor, smt::make_bitblast_solver(ctx));
   bool solved = false;
   core::EngineStats stats = engine.explore([&](const core::PathResult& path) {
     uint8_t x = static_cast<uint8_t>(path.seed.get(path.trace.input_vars[0]));

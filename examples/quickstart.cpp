@@ -68,10 +68,11 @@ int main() {
   }
   core::Program program = elf::to_program(*image);
 
-  // 3. Symbolic execution: BinSym executor + DFS DSE driver + Z3.
+  // 3. Symbolic execution: BinSym executor + DFS DSE driver + the default
+  //    bit-blasting solver.
   smt::Context ctx;
   core::BinSymExecutor executor(ctx, decoder, registry, program);
-  core::DseEngine engine(executor, smt::make_z3_solver(ctx));
+  core::DseEngine engine(executor, smt::make_bitblast_solver(ctx));
 
   std::printf("exploring guest with one symbolic input byte...\n");
   core::EngineStats stats = engine.explore([&](const core::PathResult& path) {

@@ -146,6 +146,7 @@ struct EngineOptions {
   /* prefix constraints dropped by slicing, summed over all flip queries */   \
   X(sliced_constraints, sum, kOpts, "sliced-out")                             \
   SOLVER(kOpts)                                                               \
+  SOLVER(kSat)                                                                \
   /* -- Bug-finding oracles (finding.hpp). Zero unless an ExecObserver was    \
      attached to the executors. */                                            \
   X(findings, sum, kOracles, "findings") /* unique findings inserted */       \

@@ -24,6 +24,7 @@ namespace binsym::core {
   S(kFlips, "flips", kRequired)            \
   S(kSolver, "solver", kRequired)          \
   S(kOpts, "opts", kRequired)              \
+  S(kSat, "sat", kOptional)                \
   S(kOracles, "oracles", kOptional)        \
   S(kStatic, "static", kOptional)          \
   S(kUops, "uops", kOptional)              \

@@ -66,6 +66,29 @@ Lit BitBlaster::g_mux(Lit sel, Lit then_lit, Lit else_lit) {
   return out;
 }
 
+Lit BitBlaster::g_maj(Lit a, Lit b, Lit c) {
+  if (a == b || a == c) return a;
+  if (b == c) return b;
+  if (a == lit_not(b)) return c;
+  if (a == lit_not(c)) return b;
+  if (b == lit_not(c)) return a;
+  if (is_const(a, true)) return g_or(b, c);
+  if (is_const(a, false)) return g_and(b, c);
+  if (is_const(b, true)) return g_or(a, c);
+  if (is_const(b, false)) return g_and(a, c);
+  if (is_const(c, true)) return g_or(a, b);
+  if (is_const(c, false)) return g_and(a, b);
+  // MiniSat+'s full-adder carry: out is true iff two of its inputs are.
+  Lit out = gate();
+  clause({lit_not(a), lit_not(b), out});
+  clause({lit_not(a), lit_not(c), out});
+  clause({lit_not(b), lit_not(c), out});
+  clause({a, b, lit_not(out)});
+  clause({a, c, lit_not(out)});
+  clause({b, c, lit_not(out)});
+  return out;
+}
+
 Lit BitBlaster::g_and_all(const Bits& lits) {
   Lit acc = lit_true();
   for (Lit lit : lits) acc = g_and(acc, lit);
@@ -87,8 +110,7 @@ BitBlaster::Bits BitBlaster::constant_bits(uint64_t value, unsigned width) {
   return bits;
 }
 
-BitBlaster::Bits BitBlaster::adder(const Bits& a, const Bits& b, Lit carry_in,
-                                   Lit* carry_out) {
+BitBlaster::Bits BitBlaster::adder(const Bits& a, const Bits& b, Lit carry_in) {
   assert(a.size() == b.size());
   Bits sum(a.size());
   Lit carry = carry_in;
@@ -98,7 +120,6 @@ BitBlaster::Bits BitBlaster::adder(const Bits& a, const Bits& b, Lit carry_in,
     // carry' = (a & b) | (carry & (a ^ b))
     carry = g_or(g_and(a[i], b[i]), g_and(carry, axb));
   }
-  if (carry_out) *carry_out = carry;
   return sum;
 }
 
@@ -106,7 +127,7 @@ BitBlaster::Bits BitBlaster::negate(const Bits& a) {
   Bits inverted(a.size());
   for (size_t i = 0; i < a.size(); ++i) inverted[i] = lit_not(a[i]);
   return adder(inverted, constant_bits(0, static_cast<unsigned>(a.size())),
-               lit_true(), nullptr);
+               lit_true());
 }
 
 BitBlaster::Bits BitBlaster::multiply(const Bits& a, const Bits& b) {
@@ -117,7 +138,7 @@ BitBlaster::Bits BitBlaster::multiply(const Bits& a, const Bits& b) {
     // Partial product: (b << i) & a_i, truncated to width.
     Bits partial = constant_bits(0, width);
     for (unsigned k = i; k < width; ++k) partial[k] = g_and(b[k - i], a[i]);
-    acc = adder(acc, partial, lit_false(), nullptr);
+    acc = adder(acc, partial, lit_false());
   }
   return acc;
 }
@@ -140,12 +161,13 @@ Lit BitBlaster::equals(const Bits& a, const Bits& b) {
 }
 
 Lit BitBlaster::unsigned_less(const Bits& a, const Bits& b) {
-  // a < b  <=>  no carry out of a + ~b + 1.
-  Bits b_inverted(b.size());
-  for (size_t i = 0; i < b.size(); ++i) b_inverted[i] = lit_not(b[i]);
-  Lit carry_out = lit_false();
-  adder(a, b_inverted, lit_true(), &carry_out);
-  return lit_not(carry_out);
+  // a < b  <=>  no carry out of a + ~b + 1. Only the carry chain is
+  // built, one majority gate per bit; the sum bits are never read.
+  assert(a.size() == b.size());
+  Lit carry = lit_true();
+  for (size_t i = 0; i < a.size(); ++i)
+    carry = g_maj(a[i], lit_not(b[i]), carry);
+  return lit_not(carry);
 }
 
 Lit BitBlaster::signed_less(const Bits& a, const Bits& b) {
@@ -207,7 +229,7 @@ void BitBlaster::divide(const Bits& a, const Bits& b, Bits* quotient,
   a_wide.resize(2 * width, lit_false());
 
   Bits product = multiply(q_wide, b_wide);
-  Bits sum = adder(product, r_wide, lit_false(), nullptr);
+  Bits sum = adder(product, r_wide, lit_false());
   Lit identity = equals(sum, a_wide);
   Lit remainder_ok = unsigned_less(r, b);
   Lit b_is_zero = equals(b, constant_bits(0, width));
@@ -282,9 +304,9 @@ BitBlaster::Bits BitBlaster::blast_node(ExprRef e) {
       return bits;
     }
     case Kind::kAdd:
-      return adder(op(0), op(1), lit_false(), nullptr);
+      return adder(op(0), op(1), lit_false());
     case Kind::kSub:
-      return adder(op(0), negate(op(1)), lit_false(), nullptr);
+      return adder(op(0), negate(op(1)), lit_false());
     case Kind::kMul:
       return multiply(op(0), op(1));
     case Kind::kUDiv: {

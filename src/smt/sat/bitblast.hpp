@@ -6,7 +6,8 @@
 // so far stay in the solver for good: a node shared between questions is
 // blasted once, and a question is posed as assumption literals
 // (see sat_solver_backend.cpp). Arithmetic uses
-// ripple-carry adders and shift-add multipliers; shifts are barrel
+// ripple-carry adders and shift-add multipliers; comparisons are the carry
+// chain of a - b alone, one majority gate per bit; shifts are barrel
 // networks with SMT saturation semantics; division introduces fresh
 // quotient/remainder vectors constrained by the multiplication identity
 // (guarded for the divisor==0 special cases); signed division/remainder
@@ -62,13 +63,14 @@ class BitBlaster {
   Lit g_or(Lit a, Lit b);
   Lit g_xor(Lit a, Lit b);
   Lit g_mux(Lit sel, Lit then_lit, Lit else_lit);
+  Lit g_maj(Lit a, Lit b, Lit c);  // true iff at least two inputs are
   Lit g_and_all(const Bits& lits);
   Lit g_or_all(const Bits& lits);
 
   // -- word layer -------------------------------------------------------------
 
   Bits constant_bits(uint64_t value, unsigned width);
-  Bits adder(const Bits& a, const Bits& b, Lit carry_in, Lit* carry_out);
+  Bits adder(const Bits& a, const Bits& b, Lit carry_in);
   Bits negate(const Bits& a);
   Bits multiply(const Bits& a, const Bits& b);
   Bits mux_word(Lit sel, const Bits& then_bits, const Bits& else_bits);

@@ -26,8 +26,9 @@ namespace binsym::smt {
 namespace {
 
 /// Clauses an instance may hold before it is rebuilt: at roughly 70 bytes
-/// per clause with its watches, about 10 MB per worker. A whole
-/// bubble-sort exploration holds about 4,000, so Table I never rebuilds.
+/// per clause with its watches, about 10 MB per worker. No whole Table I
+/// exploration holds more than about 1,800 (bubble-sort, uri-parser), so
+/// Table I never rebuilds.
 constexpr size_t kClauseBudget = size_t{1} << 17;
 
 class BitblastSolver final : public Solver {
@@ -89,8 +90,15 @@ class BitblastSolver final : public Solver {
     assumptions_ = scoped_lits_;
     for (ExprRef e : extra) assumptions_.push_back(blaster_->literal(e));
 
+    const sat::CdclStats before = cdcl_->stats();
+    const sat::SatResult answer = cdcl_->solve(assumptions_);
+    const sat::CdclStats& after = cdcl_->stats();
+    stats_.sat_decisions += after.decisions - before.decisions;
+    stats_.sat_propagations += after.propagations - before.propagations;
+    stats_.sat_conflicts += after.conflicts - before.conflicts;
+
     CheckResult result = CheckResult::kUnknown;
-    switch (cdcl_->solve(assumptions_)) {
+    switch (answer) {
       case sat::SatResult::kSat:
         result = CheckResult::kSat;
         ++stats_.sat;

@@ -61,13 +61,22 @@ CheckResult ValidatingSolver::check_assuming(
 
 void FailoverSolver::refresh_stats() {
   // Report *logical* queries: a rescued check is still one query to the
-  // caller, classified by its final verdict. Wall time and the incremental
-  // counters sum the real backend work.
+  // caller, classified by its final verdict. Wall time, the incremental
+  // counters and the CDCL work sum the real backend work.
   SolverStats primary = inner_->stats();
   stats_.solve_seconds = primary.solve_seconds;
   stats_.incremental_checks = primary.incremental_checks;
   stats_.reused_assertions = primary.reused_assertions;
-  if (secondary_) stats_.solve_seconds += secondary_->stats().solve_seconds;
+  stats_.sat_decisions = primary.sat_decisions;
+  stats_.sat_propagations = primary.sat_propagations;
+  stats_.sat_conflicts = primary.sat_conflicts;
+  if (secondary_) {
+    const SolverStats& rescue = secondary_->stats();
+    stats_.solve_seconds += rescue.solve_seconds;
+    stats_.sat_decisions += rescue.sat_decisions;
+    stats_.sat_propagations += rescue.sat_propagations;
+    stats_.sat_conflicts += rescue.sat_conflicts;
+  }
   stats_.failover_rescues = rescues_;
   stats_.queries = logical_queries_;
 }

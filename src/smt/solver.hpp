@@ -46,6 +46,11 @@ const char* check_result_name(CheckResult result);
   /* scoped assertions live per such check, summed (the assumption-reuse      \
      depth) */                                                                \
   X(reused_assertions, sum, kOpts, "reused-assertions")                       \
+  /* bitblast: CDCL search work, summed over every solve() and so across      \
+     instance rebuilds; z3 leaves them 0 */                                   \
+  X(sat_decisions, sum, kSat, "decisions")                                    \
+  X(sat_propagations, sum, kSat, "propagations")                              \
+  X(sat_conflicts, sum, kSat, "conflicts")                                    \
   /* FailoverSolver: queries the primary backend gave up on (unknown/         \
      timeout/exception) that the secondary decided */                         \
   X(failover_rescues, sum, kRobust, "failover-rescues")

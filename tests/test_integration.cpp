@@ -301,6 +301,23 @@ INSTANTIATE_TEST_SUITE_P(
                       AssertionStackCase{"insertion-sort", 5039, 65054},
                       AssertionStackCase{"uri-parser", 84, 2007}));
 
+TEST_F(IntegrationTest, BitblastChecksPropagateAFewHundredLiteralsEach) {
+  // insertion-sort's questions are byte comparisons, which blast to one
+  // majority gate per bit, so its whole instance holds a few hundred
+  // variables and a check cannot propagate more. A comparator that grows
+  // back a full adder per bit more than doubles it.
+  core::Program program = workloads::load_workload(table, "insertion-sort");
+  smt::Context ctx;
+  core::BinSymExecutor executor(ctx, decoder, registry, program);
+  core::DseEngine engine(executor, smt::make_bitblast_solver(ctx));
+  const core::EngineStats stats = engine.explore();
+  EXPECT_EQ(stats.paths, 5040u);
+  ASSERT_GT(stats.solver.incremental_checks, 0u);
+  EXPECT_GT(stats.solver.sat_propagations, 0u);
+  EXPECT_LE(stats.solver.sat_propagations,
+            300 * stats.solver.incremental_checks);
+}
+
 TEST_F(IntegrationTest, AssertionStackIsEmptyAfterEveryExploration) {
   // The worker keeps its stack across traces, so the end of an exploration
   // must pop it: the second run of the same engine then starts clean. A

@@ -6,6 +6,7 @@
 #include "smt/eval.hpp"
 #include "smt/sat/bitblast.hpp"
 #include "smt/sat/cdcl.hpp"
+#include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "support/bits.hpp"
 #include "support/rng.hpp"
@@ -314,6 +315,75 @@ TEST(Bitblast, ShiftSaturation) {
       ctx.eq(amount, ctx.constant(9, 8)),
       ctx.not_(ctx.eq(ctx.shl(x, amount), ctx.constant(0, 8)))};
   EXPECT_EQ(solver->check(query, nullptr), CheckResult::kUnsat);
+}
+
+TEST(Bitblast, ComparatorsAgreeWithEvaluationOnEveryWidth4Pair) {
+  // Every (a, b) at width 4, with the inputs fixed by assumptions on one
+  // instance: the comparison literal must be forced to the evaluated value
+  // (its negation unsat). The operand shapes reach the majority gate's
+  // short-circuits: constants on either side; one side a bitwise function
+  // of the other (x ^ b shares x's bits where b is 0 and complements them
+  // where b is 1, so x ^ 15 is ~x); and constant low bits under variable
+  // high ones (x with b's bits cleared against y with them set), which
+  // turn the carry into a constant mid-chain.
+  Context ctx;
+  CdclSolver cdcl;
+  sat::BitBlaster blaster(cdcl);
+  ExprRef x = ctx.var("x", 4);
+  ExprRef y = ctx.var("y", 4);
+  using Compare = ExprRef (Context::*)(ExprRef, ExprRef);
+  const std::pair<const char*, Compare> comparators[] = {
+      {"ult", &Context::ult},
+      {"ule", &Context::ule},
+      {"slt", &Context::slt},
+      {"sle", &Context::sle}};
+  for (uint64_t a = 0; a < 16; ++a) {
+    for (uint64_t b = 0; b < 16; ++b) {
+      ExprRef ca = ctx.constant(a, 4);
+      ExprRef cb = ctx.constant(b, 4);
+      const std::pair<ExprRef, ExprRef> shapes[] = {
+          {x, y},
+          {x, cb},
+          {ca, y},
+          {x, ctx.xor_(x, cb)},
+          {ctx.not_(x), x},
+          {ctx.and_(x, ctx.not_(cb)), ctx.or_(y, cb)}};
+      Assignment inputs;
+      inputs.set(x->var_id, a);
+      inputs.set(y->var_id, b);
+      const Lit fix_x = blaster.literal(ctx.eq(x, ca));
+      const Lit fix_y = blaster.literal(ctx.eq(y, cb));
+      for (const auto& [name, compare] : comparators) {
+        for (const auto& [lhs, rhs] : shapes) {
+          ExprRef cmp = (ctx.*compare)(lhs, rhs);
+          const Lit lit = blaster.literal(cmp);
+          const Lit holds = evaluate(cmp, inputs) ? lit : sat::lit_not(lit);
+          const std::vector<Lit> right = {fix_x, fix_y, holds};
+          const std::vector<Lit> wrong = {fix_x, fix_y, sat::lit_not(holds)};
+          EXPECT_EQ(cdcl.solve(right), SatResult::kSat)
+              << name << " " << to_smtlib(ctx, cmp) << " at x=" << a
+              << " y=" << b;
+          EXPECT_EQ(cdcl.solve(wrong), SatResult::kUnsat)
+              << name << " " << to_smtlib(ctx, cmp) << " at x=" << a
+              << " y=" << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(Bitblast, UnsignedLessIsOneGatePerBit) {
+  // The comparison is a carry chain of majority gates and nothing else.
+  Context ctx;
+  CdclSolver cdcl;
+  sat::BitBlaster blaster(cdcl);
+  ExprRef x = ctx.var("x", 8);
+  ExprRef y = ctx.var("y", 8);
+  blaster.literal(ctx.extract(x, 0, 0));  // blasts all of x's input bits
+  blaster.literal(ctx.extract(y, 0, 0));
+  const int before = cdcl.num_vars();
+  blaster.literal(ctx.ult(x, y));
+  EXPECT_LE(cdcl.num_vars() - before, 8);
 }
 
 class BitblastVsZ3 : public ::testing::TestWithParam<uint64_t> {};

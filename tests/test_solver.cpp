@@ -407,6 +407,25 @@ TEST(FailoverSolver, SecondaryRescuesUnknownPrimary) {
   EXPECT_EQ(solver.name(), "stub+failover");
 }
 
+TEST(FailoverSolver, ReportsTheCdclWorkOfWhicheverBackendRan) {
+  // The wrapper's stats must carry the bitblast counters whether the
+  // primary answered or a bitblast secondary rescued the check.
+  Context ctx;
+  ExprRef x = ctx.var("x", 8);
+  std::vector<ExprRef> query = {
+      ctx.eq(ctx.add(x, ctx.constant(3, 8)), ctx.constant(10, 8))};
+  FailoverSolver answered(make_bitblast_solver(ctx),
+                          [&ctx] { return make_z3_solver(ctx); });
+  FailoverSolver rescued(
+      std::make_unique<StubSolver>(StubSolver::Mode::kUnknown),
+      [&ctx] { return make_bitblast_solver(ctx); });
+  for (FailoverSolver* solver : {&answered, &rescued}) {
+    EXPECT_EQ(solver->check(query, nullptr), CheckResult::kSat);
+    EXPECT_GT(solver->stats().sat_propagations, 0u) << solver->name();
+  }
+  EXPECT_EQ(rescued.stats().failover_rescues, 1u);
+}
+
 TEST(FailoverSolver, ThrowingPrimaryIsRescuedToo) {
   Context ctx;
   FailoverSolver solver(std::make_unique<StubSolver>(StubSolver::Mode::kThrow),

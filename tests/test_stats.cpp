@@ -298,6 +298,7 @@ TEST_F(StatsTest, FullReportGolden) {
   v.cache_hits = 44; v.cache_misses = 45; v.solve_seconds = 2.25;
   s.sliced_constraints = 22;
   v.incremental_checks = 46; v.reused_assertions = 47;
+  v.sat_decisions = 62; v.sat_propagations = 63; v.sat_conflicts = 64;
   s.findings = 30; s.finding_dupes = 31;
   s.candidates_checked = 32; s.candidates_feasible = 33;
   s.static_proved = 34; s.static_unknown = 35; s.static_mismatches = 36;
@@ -320,6 +321,7 @@ TEST_F(StatsTest, FullReportGolden) {
       "cache-hits=44 cache-misses=45 solve-time=2.250s\n"
       "opts: sliced-out=22 incremental-checks=46 reused-assertions=47 "
       "(avg depth 1.0)\n"
+      "sat: decisions=62 propagations=63 conflicts=64\n"
       "oracles: findings=30 dupes=31 candidates=32 feasible=33\n"
       "static: proved=34 unknown=35 mismatches=36\n"
       "uops: blocks=48 hits=49 bails=50 invalidations=51 clean-pages=52\n"
