@@ -5,10 +5,9 @@
 // straight-line runs once into flat blocks and executes them with threaded
 // dispatch. This harness measures both halves of that claim:
 //
-//   1. Micro throughput: a tight concrete loop and its taint-tracking twin,
-//      interpreted with the fast path off and on. The concrete speedup must
-//      reach 3.0x (the subsystem's acceptance bar) — the harness exits
-//      non-zero below it.
+//   1. Micro throughput: a tight concrete loop on the ISS, interpreted with
+//      the fast path off and on. The speedup must reach 3.0x (the
+//      subsystem's acceptance bar) — the harness exits non-zero below it.
 //   2. Table I explorations: the binsym engine over every evaluation
 //      workload with the fast path off and on. Path counts are checked for
 //      drift (the fast path may only change cost, never the explored path
@@ -30,7 +29,6 @@
 #include "elf/elf32.hpp"
 #include "engines.hpp"
 #include "interp/concrete.hpp"
-#include "interp/taint.hpp"
 
 using namespace binsym;
 
@@ -130,46 +128,27 @@ int main(int argc, char** argv) {
     iss.machine().pc_ = assembled.image.entry;
     return iss.run();
   };
-  auto taint_once = [&](bool uop) {
-    interp::TaintTracker tracker(decoder, registry, uop);
-    for (const elf::Segment& seg : assembled.image.segments)
-      for (size_t i = 0; i < seg.bytes.size(); ++i)
-        tracker.machine().memory_[seg.addr + static_cast<uint32_t>(i)] =
-            seg.bytes[i];
-    tracker.machine().pc_ = assembled.image.entry;
-    return tracker.run(100'000'000);
-  };
 
+  constexpr double kMinSpeedup = 3.0;  // acceptance bar
   std::printf("%-10s %-6s %14s %10s %9s\n", "Interp", "config", "instructions",
               "instr/s", "speedup");
-  struct MicroRow {
-    const char* name;
-    double min_speedup;  // acceptance bar (0 = report only)
-  };
-  for (const MicroRow& row : {MicroRow{"concrete", 3.0}, MicroRow{"taint", 0}}) {
-    const bool concrete = std::strcmp(row.name, "concrete") == 0;
-    MicroResult spec = measure(
-        [&] { return concrete ? concrete_once(false) : taint_once(false); },
-        min_seconds);
-    MicroResult block = measure(
-        [&] { return concrete ? concrete_once(true) : taint_once(true); },
-        min_seconds);
-    double speedup = block.instr_per_sec / spec.instr_per_sec;
-    bool below_bar = row.min_speedup > 0 && speedup < row.min_speedup;
-    if (below_bar) ++failures;
-    std::printf("%-10s %-6s %14llu %10.0f %8.2fx%s\n", row.name, "spec",
-                u(spec.instructions), spec.instr_per_sec, 1.0, "");
-    std::printf("%-10s %-6s %14llu %10.0f %8.2fx%s\n", row.name, "block",
-                u(block.instructions), block.instr_per_sec, speedup,
-                below_bar ? "  <- BELOW 3.0x BAR" : "");
-    if (json) {
-      std::fprintf(json,
-                   "{\"bench\":\"micro\",\"interp\":\"%s\",\"quick\":%s,"
-                   "\"spec_instr_per_sec\":%.0f,\"block_instr_per_sec\":%.0f,"
-                   "\"speedup\":%.3f,\"min_speedup\":%.1f}\n",
-                   row.name, quick ? "true" : "false", spec.instr_per_sec,
-                   block.instr_per_sec, speedup, row.min_speedup);
-    }
+  MicroResult spec = measure([&] { return concrete_once(false); }, min_seconds);
+  MicroResult block = measure([&] { return concrete_once(true); }, min_seconds);
+  double speedup = block.instr_per_sec / spec.instr_per_sec;
+  bool below_bar = speedup < kMinSpeedup;
+  if (below_bar) ++failures;
+  std::printf("%-10s %-6s %14llu %10.0f %8.2fx%s\n", "concrete", "spec",
+              u(spec.instructions), spec.instr_per_sec, 1.0, "");
+  std::printf("%-10s %-6s %14llu %10.0f %8.2fx%s\n", "concrete", "block",
+              u(block.instructions), block.instr_per_sec, speedup,
+              below_bar ? "  <- BELOW 3.0x BAR" : "");
+  if (json) {
+    std::fprintf(json,
+                 "{\"bench\":\"micro\",\"interp\":\"concrete\",\"quick\":%s,"
+                 "\"spec_instr_per_sec\":%.0f,\"block_instr_per_sec\":%.0f,"
+                 "\"speedup\":%.3f,\"min_speedup\":%.1f}\n",
+                 quick ? "true" : "false", spec.instr_per_sec,
+                 block.instr_per_sec, speedup, kMinSpeedup);
   }
 
   // -- Part 2: Table I explorations, fast path off vs on. -------------------

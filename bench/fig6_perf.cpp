@@ -3,9 +3,10 @@
 //
 // Engines (fixed lifter everywhere, as the paper benchmarks the *fixed*
 // angr): BINSEC-like, BinSym, SymEx-VP-like, angr-like. Every engine runs
-// the same DFS driver and the same Z3 backend, so solver time is identical
-// by construction ("configured to use the same version of Z3 to avoid
-// benchmarking the solver"); the interesting signal is the engine
+// the same DFS driver and the same solver — the default bitblast backend,
+// built by bench::make_robust_solver — so solver time is identical by
+// construction (the paper configures every engine with the same Z3 "to
+// avoid benchmarking the solver"); the interesting signal is the engine
 // execution time, reported alongside the totals. Expected shape, from the
 // paper: binsec < binsym < symex-vp < angr on every benchmark.
 //

@@ -11,7 +11,6 @@
 #include "core/executor.hpp"
 #include "elf/elf32.hpp"
 #include "interp/concrete.hpp"
-#include "interp/taint.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "smt/solver.hpp"
@@ -123,32 +122,6 @@ void BM_ConcreteBlockInterp(benchmark::State& state) {
   concrete_interp(state, /*uop_fastpath=*/true);
 }
 BENCHMARK(BM_ConcreteBlockInterp);
-
-void taint_interp(benchmark::State& state, bool uop_fastpath) {
-  Fixture& f = fixture();
-  rvasm::AsmResult assembled = rvasm::assemble_or_die(f.table, kLoopSource);
-  for (auto _ : state) {
-    interp::TaintTracker tracker(f.decoder, f.registry, uop_fastpath);
-    for (const elf::Segment& seg : assembled.image.segments)
-      for (size_t i = 0; i < seg.bytes.size(); ++i)
-        tracker.machine().memory_[seg.addr + static_cast<uint32_t>(i)] =
-            seg.bytes[i];
-    tracker.machine().pc_ = assembled.image.entry;
-    uint64_t steps = tracker.run();
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<int64_t>(steps));
-  }
-}
-
-void BM_TaintSpecInterp(benchmark::State& state) {
-  taint_interp(state, /*uop_fastpath=*/false);
-}
-BENCHMARK(BM_TaintSpecInterp);
-
-void BM_TaintBlockInterp(benchmark::State& state) {
-  taint_interp(state, /*uop_fastpath=*/true);
-}
-BENCHMARK(BM_TaintBlockInterp);
 
 void BM_ConcolicSpecInterp(benchmark::State& state) {
   Fixture& f = fixture();

@@ -24,7 +24,7 @@ void emit(std::ostream& os, const isa::OpcodeTable& table,
   os << "# RV32IM Formal Specification Reference\n\n";
   os << "Generated from the executable specification (src/spec). Encodings\n"
         "follow riscv-opcodes; semantics are rendered from the DSL AST that\n"
-        "every interpreter (ISS, symbolic engine, taint tracker) executes.\n";
+        "every interpreter (ISS, symbolic engine, SymEx-VP) executes.\n";
 
   // Group by extension, preserving table order inside a group.
   std::map<std::string, std::vector<const isa::OpcodeInfo*>> by_extension;

@@ -20,6 +20,11 @@ namespace binsym::core {
 
 namespace {
 
+/// How many times a FlipJob whose processing threw is requeued before it
+/// is dropped as poisonous (so a deterministic crasher cannot loop the run
+/// forever). Every such error marks the result incomplete.
+constexpr uint32_t kMaxJobRetries = 1;
+
 /// Assemble the final Finding record for a detection (an OracleHit or an
 /// OracleCandidate) on `trace`: dedup-key fields, SMT-LIB rendering of the
 /// faulting expression, and the witness input bytes (in sym_input creation
@@ -206,7 +211,7 @@ void DseEngine::worker_loop(Executor& executor, smt::Solver& solver,
     stack.clear();
     ++local.worker_errors;
     shared.mark_incomplete(std::string("worker error: ") + what);
-    if (job.retries < opts.max_job_retries) {
+    if (job.retries < kMaxJobRetries) {
       FlipJob retry = job;
       ++retry.retries;
       ++local.jobs_requeued;

@@ -108,10 +108,6 @@ struct EngineOptions {
   /// platforms without an RSS probe the budget is never enforced.
   /// CLI: --memory-budget-mb.
   uint64_t memory_budget_mb = 0;
-  /// How many times a FlipJob whose processing threw is requeued before it
-  /// is dropped as poisonous (so a deterministic crasher cannot loop the
-  /// run forever). Every such error marks the result incomplete.
-  unsigned max_job_retries = 1;
   /// Deterministic fault injection (support/fault.hpp): fail the Nth
   /// solver check / instrumented allocation. Null disables every site.
   /// CLI: explore --fault-inject SPEC.
@@ -191,7 +187,7 @@ struct EngineOptions {
   SOLVER(kRobust)                                                             \
   X(worker_errors, sum, kRobust, "worker-errors") /* jobs that threw */       \
   X(jobs_requeued, sum, kRobust, "requeued") /* retried on the frontier */    \
-  /* errored jobs dropped after the retry budget (max_job_retries) */         \
+  /* errored jobs dropped after their one retry (kMaxJobRetries) */          \
   X(jobs_poisoned, sum, kRobust, "poisoned")
 
 /// Expands SOLVER(section) to nothing, for the uses of

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "interp/uop_run.hpp"
 #include "support/format.hpp"
 
 namespace binsym::core {
@@ -73,11 +72,10 @@ BinSymExecutor::BinSymExecutor(smt::Context& ctx, const isa::Decoder& decoder,
                                const spec::Registry& registry,
                                const Program& program, MachineConfig config)
     : ctx_(ctx),
-      decoder_(decoder),
-      registry_(registry),
       program_(program),
       config_(config),
-      machine_(ctx) {
+      machine_(ctx),
+      driver_(decoder, registry) {
   if (config_.uop_fastpath) machine_.set_store_watch(&cache_);
 }
 
@@ -85,95 +83,12 @@ void BinSymExecutor::run(const smt::Assignment& seed, PathTrace& trace) {
   trace.clear();
   machine_.reset(program_.image, program_.entry, config_.stack_top, seed,
                  trace);
-  loop();
-}
-
-const interp::BlockCache::Block* BinSymExecutor::lookup_or_compile(
-    uint32_t pc) {
-  if (cache_.page_poisoned(pc)) return nullptr;
-  if (const interp::BlockCache::Block* block = cache_.lookup(pc)) return block;
-  // Lowering fetch mirrors the slow loop: only the leader byte's page must
-  // be mapped (reads zero-fill past it), and fetch never consults the
-  // symbolic shadow (like fetch_word). Poisoned pages are refused for the
-  // whole word so a block never covers a page that has been stored to.
-  auto fetch = [this](uint32_t p, uint32_t* word) {
-    if (!machine_.memory().mapped(p)) return false;
-    if (cache_.page_poisoned(p) || cache_.page_poisoned(p + 3)) return false;
-    *word = static_cast<uint32_t>(machine_.memory().read_concrete(p, 4));
-    return true;
-  };
-  interp::Uop* buffer = cache_.begin_compile();
-  uint32_t bytes = 0;
-  unsigned count =
-      lower_block(decoder_, registry_, fetch, pc, buffer,
-                  interp::BlockCache::kMaxBlockUops, &bytes);
-  return cache_.finish_compile(pc, count, bytes);
-}
-
-void BinSymExecutor::loop() {
-  PathTrace& trace = machine_.trace();
   // The fast path never fires the per-instruction hooks, so it must stay
-  // off while any are attached.
-  const bool fast = config_.uop_fastpath && !trace_hook_ && !observer_;
-  ConcolicPolicy policy{machine_, cache_};
-  while (machine_.running()) {
-    if (trace.steps >= config_.max_steps) {
-      machine_.stop(ExitReason::kMaxSteps);
-      break;
-    }
-    if (!machine_.fetch_mapped()) {
-      machine_.stop(ExitReason::kBadFetch);
-      break;
-    }
-    if (fast) {
-      const interp::BlockCache::Block* block =
-          lookup_or_compile(machine_.pc());
-      if (block && block->count) {
-        interp::UopRun r = interp::run_block(
-            block->uops, block->count, config_.max_steps - trace.steps,
-            policy);
-        trace.steps += r.steps;
-        retired_ += r.steps;
-        if (r.exit != interp::UopExit::kBail) {
-          machine_.set_next_pc(r.next_pc);
-          machine_.advance();
-          continue;  // kStepLimit re-enters the budget check above
-        }
-        // Re-execute the bailing instruction on the spec path in this same
-        // iteration (continuing would re-enter the block and bail forever).
-        machine_.set_next_pc(r.bail_pc);
-        machine_.advance();
-        ++guard_bails_;
-      }
-    }
-    uint32_t word = machine_.fetch_word();
-
-    const isa::Decoded* decoded;
-    if (auto it = decode_cache_.find(word); it != decode_cache_.end()) {
-      decoded = &it->second;
-    } else {
-      auto result = decoder_.decode(word);
-      if (!result) {
-        machine_.stop(ExitReason::kIllegalInstr);
-        break;
-      }
-      decoded = &decode_cache_.emplace(word, *result).first->second;
-    }
-
-    const dsl::Semantics* semantics = registry_.get(decoded->id());
-    if (!semantics) {
-      machine_.stop(ExitReason::kIllegalInstr);
-      break;
-    }
-
-    if (trace_hook_) trace_hook_(machine_.pc(), *decoded);
-    if (observer_) observer_->on_instruction(machine_.pc(), *decoded);
-    machine_.set_next_pc(machine_.pc() + decoded->size);
-    evaluator_.execute(*semantics, *decoded, machine_);
-    machine_.advance();
-    ++trace.steps;
-    ++retired_;
-  }
+  // off while an observer is attached.
+  const bool fast = config_.uop_fastpath && !observer_;
+  driver_.run<ConcolicPolicy>(machine_, trace.steps, config_.max_steps,
+                              fast ? &cache_ : nullptr);
+  retired_ += trace.steps;
 }
 
 }  // namespace binsym::core

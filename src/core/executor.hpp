@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +18,7 @@
 #include "core/machine.hpp"
 #include "core/path.hpp"
 #include "interp/block_cache.hpp"
-#include "interp/evaluator.hpp"
+#include "interp/driver.hpp"
 #include "interp/uop.hpp"
 #include "isa/decoder.hpp"
 #include "smt/context.hpp"
@@ -137,8 +136,9 @@ class BinSymExecutor final : public Executor {
   uint64_t instructions_retired() const override { return retired_; }
 
   interp::UopCounters uop_counters() const override {
-    return {cache_.blocks_compiled(), cache_.cache_hits(), guard_bails_,
-            cache_.invalidations(), machine_.memory().pages_clean_skipped()};
+    interp::UopCounters counters = cache_.counters();
+    counters.pages_clean_skipped = machine_.memory().pages_clean_skipped();
+    return counters;
   }
 
   bool supports_observer() const override { return true; }
@@ -147,32 +147,18 @@ class BinSymExecutor final : public Executor {
     machine_.set_observer(observer);
   }
 
-  /// Per-retired-instruction observer (tracing/coverage tooling); called
-  /// before the instruction's semantics execute. Keep it cheap.
-  using TraceHook = std::function<void(uint32_t pc, const isa::Decoded&)>;
-  void set_trace_hook(TraceHook hook) { trace_hook_ = std::move(hook); }
+  /// The machine as the last run left it (registers, memory, pc).
+  const SymMachine& machine() const { return machine_; }
 
  private:
-  /// The interpretation loop of run(), from the machine's current state.
-  void loop();
-
-  const interp::BlockCache::Block* lookup_or_compile(uint32_t pc);
-
-  TraceHook trace_hook_;
   ExecObserver* observer_ = nullptr;
   smt::Context& ctx_;
-  const isa::Decoder& decoder_;
-  const spec::Registry& registry_;
   const Program& program_;
   MachineConfig config_;
   SymMachine machine_;
-  interp::Evaluator<SymMachine> evaluator_;
-  // Decode results are immutable per word; cache them (decode is shared
-  // infrastructure, not part of the translation under comparison).
-  std::unordered_map<uint32_t, isa::Decoded> decode_cache_;
+  interp::Driver<SymMachine> driver_;
   uint64_t retired_ = 0;
   interp::BlockCache cache_;
-  uint64_t guard_bails_ = 0;
 };
 
 }  // namespace binsym::core

@@ -63,6 +63,18 @@ class SymMachine {
   /// Whether pc lies on a mapped page (guards fetch_word; an unmapped pc
   /// ends the run with ExitReason::kBadFetch).
   bool fetch_mapped() const { return memory_.mapped(pc_); }
+  /// Side-effect-free fetch at any address for micro-op lowering (false
+  /// when `addr` is unmapped); like fetch_word, it ignores the shadow.
+  bool code_word(uint32_t addr, uint32_t* word) const {
+    if (!memory_.mapped(addr)) return false;
+    *word = static_cast<uint32_t>(memory_.read_concrete(addr, 4));
+    return true;
+  }
+  /// The instruction at pc is about to execute (after decode, before its
+  /// semantics): the observer's per-instruction event.
+  void on_instruction(const isa::Decoded& decoded) {
+    if (observer_) observer_->on_instruction(pc_, decoded);
+  }
   /// The run artifacts being filled; valid between reset() and the end of
   /// the run.
   PathTrace& trace() { return *trace_; }
@@ -112,7 +124,7 @@ class SymMachine {
     return interp::sval(value, width);
   }
 
-  Value read_register(unsigned index) {
+  Value read_register(unsigned index) const {
     return index == 0 ? interp::sval(0, 32) : regs_[index];
   }
 

@@ -59,7 +59,7 @@ struct FlipJob {
   uint32_t flip_pc = 0; // pc of the branch whose flip produced this job
   uint64_t seq = 0;     // global insertion order, assigned by the Frontier
   uint32_t retries = 0; // times this job errored and was requeued (the
-                        // engine drops it past EngineOptions::max_job_retries)
+                        // engine drops it past kMaxJobRetries, engine.cpp)
 };
 
 /// Convert an engine-side Assignment (context var ids) into portable form.

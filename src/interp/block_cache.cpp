@@ -2,6 +2,23 @@
 
 namespace binsym::interp {
 
+const BlockCache::Block* BlockCache::compile(uint32_t pc,
+                                             const isa::Decoder& decoder,
+                                             const spec::Registry& registry,
+                                             const UopFetchFn& code_word) {
+  // Only the leader byte's page must be mapped, as for the spec path's
+  // fetch (reads zero-fill past it). Poisoned pages are refused for the
+  // whole word so a block never covers a page that has been stored to.
+  auto fetch = [&](uint32_t p, uint32_t* word) {
+    return !page_poisoned(p) && !page_poisoned(p + 3) && code_word(p, word);
+  };
+  Uop* buffer = begin_compile();
+  uint32_t bytes = 0;
+  unsigned count = lower_block(decoder, registry, fetch, pc, buffer,
+                               kMaxBlockUops, &bytes);
+  return finish_compile(pc, count, bytes);
+}
+
 const BlockCache::Block* BlockCache::finish_compile(uint32_t pc, unsigned count,
                                                     uint32_t bytes) {
   assert_owner();

@@ -91,6 +91,19 @@ class BlockCache final : public GuestStoreWatch {
     return !poisoned_.empty() && poisoned_.count(addr >> kPageBits) != 0;
   }
 
+  /// The block leading at `pc`: cached, or lowered now from the words that
+  /// `code_word` (the machine's side-effect-free fetch, a UopFetchFn)
+  /// supplies. Null when pc's page is poisoned; a negative entry (count 0)
+  /// when nothing at pc lowers.
+  template <class CodeWord>
+  const Block* lookup_or_compile(uint32_t pc, const isa::Decoder& decoder,
+                                 const spec::Registry& registry,
+                                 const CodeWord& code_word) {
+    if (page_poisoned(pc)) return nullptr;
+    if (const Block* block = lookup(pc)) return block;
+    return compile(pc, decoder, registry, code_word);
+  }
+
   /// Scratch buffer for lower_block (capacity kMaxBlockUops). Flushes the
   /// cache first when at capacity, so the buffer is always valid.
   Uop* begin_compile() {
@@ -109,12 +122,21 @@ class BlockCache final : public GuestStoreWatch {
   /// fast path must then exit its block — it may have dropped itself).
   bool on_guest_store(uint32_t addr, uint64_t bytes) override;
 
-  uint64_t blocks_compiled() const { return blocks_compiled_; }
-  uint64_t cache_hits() const { return cache_hits_; }
-  uint64_t invalidations() const { return invalidations_; }
+  /// A block exited at a guard its policy refused (the driver counts it).
+  void count_bail() { ++guard_bails_; }
+
+  /// The fast-path counters this cache keeps (pages_clean_skipped belongs
+  /// to the machine's memory and stays zero here).
+  UopCounters counters() const {
+    return {blocks_compiled_, cache_hits_, guard_bails_, invalidations_, 0};
+  }
   size_t size() const { return blocks_.size(); }
 
  private:
+  const Block* compile(uint32_t pc, const isa::Decoder& decoder,
+                       const spec::Registry& registry,
+                       const UopFetchFn& code_word);
+
   void flush() {
     blocks_.clear();
     page_index_.clear();
@@ -146,6 +168,7 @@ class BlockCache final : public GuestStoreWatch {
   uint64_t blocks_compiled_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t invalidations_ = 0;
+  uint64_t guard_bails_ = 0;
 #ifndef NDEBUG
   std::thread::id owner_{};
 #endif

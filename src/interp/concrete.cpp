@@ -1,7 +1,5 @@
 #include "interp/concrete.hpp"
 
-#include "interp/uop_run.hpp"
-
 namespace binsym::interp {
 
 namespace {
@@ -11,6 +9,7 @@ namespace {
 /// fallback's default arm (never, for well-formed blocks).
 struct ConcretePolicy {
   ConcreteMachine& m;
+  BlockCache& cache;
 
   bool reg(unsigned index, uint32_t* out) {
     *out = index == 0 ? 0 : static_cast<uint32_t>(m.regs_[index].v);
@@ -25,8 +24,7 @@ struct ConcretePolicy {
   }
   void store(uint32_t addr, unsigned bytes, uint32_t value, bool* exit_block) {
     m.memory_.write(addr, bytes, value);
-    if (m.store_watch_ && m.store_watch_->on_guest_store(addr, bytes))
-      *exit_block = true;
+    if (cache.on_guest_store(addr, bytes)) *exit_block = true;
   }
 };
 
@@ -72,73 +70,10 @@ void ConcreteMachine::ecall() {
   }
 }
 
-void Iss::execute_one(const isa::Decoded& decoded) {
-  const dsl::Semantics* semantics = registry_.get(decoded.id());
-  if (!semantics) {
-    machine_.stop(core::ExitReason::kIllegalInstr);
-    return;
-  }
-  machine_.next_pc_ = machine_.pc_ + decoded.size;
-  evaluator_.execute(*semantics, decoded, machine_);
-  machine_.pc_ = machine_.next_pc_;
-}
-
-const BlockCache::Block* Iss::lookup_or_compile(uint32_t pc) {
-  if (cache_.page_poisoned(pc)) return nullptr;
-  if (const BlockCache::Block* block = cache_.lookup(pc)) return block;
-  // Lowering fetch mirrors the slow loop: only the leader byte's page must
-  // be mapped (reads zero-fill past it). Poisoned pages are refused for the
-  // whole word so a block never covers a page that has been stored to.
-  auto fetch = [this](uint32_t p, uint32_t* word) {
-    if (!machine_.memory_.mapped(p)) return false;
-    if (cache_.page_poisoned(p) || cache_.page_poisoned(p + 3)) return false;
-    *word = static_cast<uint32_t>(machine_.memory_.read(p, 4));
-    return true;
-  };
-  Uop* buffer = cache_.begin_compile();
-  uint32_t bytes = 0;
-  unsigned count = lower_block(decoder_, registry_, fetch, pc, buffer,
-                               BlockCache::kMaxBlockUops, &bytes);
-  return cache_.finish_compile(pc, count, bytes);
-}
-
 uint64_t Iss::run(uint64_t max_steps) {
   uint64_t steps = 0;
-  ConcretePolicy policy{machine_};
-  while (machine_.exit_ == core::ExitReason::kRunning) {
-    if (steps >= max_steps) {
-      machine_.stop(core::ExitReason::kMaxSteps);
-      break;
-    }
-    if (!machine_.memory_.mapped(machine_.pc_)) {
-      machine_.stop(core::ExitReason::kBadFetch);
-      break;
-    }
-    if (uop_fastpath_) {
-      const BlockCache::Block* block = lookup_or_compile(machine_.pc_);
-      if (block && block->count) {
-        UopRun r =
-            run_block(block->uops, block->count, max_steps - steps, policy);
-        steps += r.steps;
-        if (r.exit != UopExit::kBail) {
-          machine_.pc_ = machine_.next_pc_ = r.next_pc;
-          continue;  // kStepLimit re-enters the budget check above
-        }
-        // Re-execute the bailing instruction on the spec path in this same
-        // iteration (continuing would re-enter the block and bail forever).
-        machine_.pc_ = machine_.next_pc_ = r.bail_pc;
-        ++guard_bails_;
-      }
-    }
-    uint32_t word = static_cast<uint32_t>(machine_.memory_.read(machine_.pc_, 4));
-    auto decoded = decoder_.decode(word);
-    if (!decoded) {
-      machine_.stop(core::ExitReason::kIllegalInstr);
-      break;
-    }
-    execute_one(*decoded);
-    ++steps;
-  }
+  driver_.run<ConcretePolicy>(machine_, steps, max_steps,
+                              uop_fastpath_ ? &cache_ : nullptr);
   return steps;
 }
 

@@ -16,7 +16,7 @@
 #include "core/path.hpp"
 #include "core/syscalls.hpp"
 #include "interp/block_cache.hpp"
-#include "interp/evaluator.hpp"
+#include "interp/driver.hpp"
 #include "interp/uop.hpp"
 #include "interp/value.hpp"
 #include "isa/decoder.hpp"
@@ -76,6 +76,23 @@ class ConcreteMachine {
   void ebreak() { stop(core::ExitReason::kEbreak); }
   void fence() {}
 
+  // -- Loop interface (driver.hpp). ---------------------------------------------
+
+  bool running() const { return exit_ == core::ExitReason::kRunning; }
+  uint32_t pc() const { return pc_; }
+  void set_next_pc(uint32_t next_pc) { next_pc_ = next_pc; }
+  void advance() { pc_ = next_pc_; }
+  bool fetch_mapped() const { return memory_.mapped(pc_); }
+  uint32_t fetch_word() const {
+    return static_cast<uint32_t>(memory_.read(pc_, 4));
+  }
+  bool code_word(uint32_t addr, uint32_t* word) const {
+    if (!memory_.mapped(addr)) return false;
+    *word = static_cast<uint32_t>(memory_.read(addr, 4));
+    return true;
+  }
+  void on_instruction(const isa::Decoded&) {}
+
   // -- Machine control. ------------------------------------------------------------
 
   std::array<Value, 32> regs_{};
@@ -99,7 +116,7 @@ class ConcreteMachine {
   }
 };
 
-/// Fetch/decode/execute driver around ConcreteMachine.
+/// The ISS: ConcreteMachine run by the shared loop (driver.hpp).
 ///
 /// With `uop_fastpath` on (the default), straight-line runs are lowered once
 /// into micro-op blocks (uop.hpp) and executed with threaded dispatch;
@@ -109,7 +126,7 @@ class Iss {
  public:
   Iss(const isa::Decoder& decoder, const spec::Registry& registry,
       bool uop_fastpath = true)
-      : decoder_(decoder), registry_(registry), uop_fastpath_(uop_fastpath) {
+      : driver_(decoder, registry), uop_fastpath_(uop_fastpath) {
     if (uop_fastpath_) machine_.store_watch_ = &cache_;
   }
 
@@ -117,27 +134,22 @@ class Iss {
 
   /// Execute a single already-decoded instruction (unit-test entry point;
   /// handles the default PC advance).
-  void execute_one(const isa::Decoded& decoded);
+  void execute_one(const isa::Decoded& decoded) {
+    if (!driver_.execute(machine_, decoded))
+      machine_.stop(core::ExitReason::kIllegalInstr);
+  }
 
   /// Run from machine().pc_ until exit or `max_steps`. Returns steps taken.
   uint64_t run(uint64_t max_steps = 10'000'000);
 
   /// Micro-op fast-path counters (all zero with the fast path off).
-  UopCounters uop_counters() const {
-    return {cache_.blocks_compiled(), cache_.cache_hits(), guard_bails_,
-            cache_.invalidations(), 0};
-  }
+  UopCounters uop_counters() const { return cache_.counters(); }
 
  private:
-  const BlockCache::Block* lookup_or_compile(uint32_t pc);
-
-  const isa::Decoder& decoder_;
-  const spec::Registry& registry_;
   ConcreteMachine machine_;
-  Evaluator<ConcreteMachine> evaluator_;
+  Driver<ConcreteMachine> driver_;
   bool uop_fastpath_;
   BlockCache cache_;
-  uint64_t guard_bails_ = 0;
 };
 
 }  // namespace binsym::interp

@@ -7,8 +7,8 @@
 // instructions — up to the next branch, jump or system op — once, into an
 // arena-allocated array of micro-ops with pre-resolved immediates, and
 // executes it with threaded dispatch (uop_run.hpp). The fast path only ever
-// runs while every consumed operand is concrete and untainted; anything else
-// bails back to the spec path at the exact faulting instruction, so the
+// runs while every consumed operand is concrete; anything else bails back
+// to the spec path at the exact faulting instruction, so the
 // observable machine behavior is bit-identical with the fast path on or off.
 //
 // The micro-op buffers live in a per-interpreter BlockCache

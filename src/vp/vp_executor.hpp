@@ -5,8 +5,6 @@
 // equal by construction; only Fig. 6 timing differs.
 #pragma once
 
-#include <unordered_map>
-
 #include "core/executor.hpp"
 #include "vp/peripherals.hpp"
 
@@ -20,9 +18,10 @@ inline constexpr uint32_t kUartBase = 0x1000'0000 + kRamSize;
 inline constexpr uint32_t kTimerBase = kUartBase + 0x1000;
 inline constexpr uint32_t kSymInputBase = kTimerBase + 0x1000;
 
-/// SymMachine whose data path goes through the bus. The primitive interface
-/// is bound statically by Evaluator<VpMachine>, so the shadowed load/store
-/// below replace the direct-memory versions at compile time.
+/// SymMachine whose data path goes through the bus. The primitive and loop
+/// interfaces are bound statically by Driver<VpMachine>, so the shadowed
+/// load/store/fetch_word/on_instruction below replace the direct-memory
+/// versions at compile time.
 class VpMachine : public core::SymMachine {
  public:
   VpMachine(smt::Context& ctx, Bus& bus, QuantumKeeper& keeper)
@@ -59,7 +58,7 @@ class VpMachine : public core::SymMachine {
   }
 
   /// Instruction fetch as a 4-byte bus read (concrete payload).
-  uint32_t fetch_through_bus() {
+  uint32_t fetch_word() {
     Transaction txn;
     txn.command = Transaction::Command::kRead;
     txn.address = pc();
@@ -67,6 +66,12 @@ class VpMachine : public core::SymMachine {
     bus_.transport(txn);
     account(txn);
     return static_cast<uint32_t>(txn.data.conc);
+  }
+
+  /// The observer event, then one cycle per retired instruction.
+  void on_instruction(const isa::Decoded& decoded) {
+    core::SymMachine::on_instruction(decoded);
+    keeper_.advance(1);
   }
 
  private:
@@ -93,7 +98,6 @@ class VpExecutor final : public core::Executor {
 
   bool supports_observer() const override { return true; }
   void set_observer(core::ExecObserver* observer) override {
-    observer_ = observer;
     machine_.set_observer(observer);
   }
 
@@ -109,13 +113,7 @@ class VpExecutor final : public core::Executor {
   const QuantumKeeper& quantum_keeper() const { return keeper_; }
 
  private:
-  /// The bus-interpretation loop of run(), from the machine's current state.
-  void loop();
-
-  core::ExecObserver* observer_ = nullptr;
   smt::Context& ctx_;
-  const isa::Decoder& decoder_;
-  const spec::Registry& registry_;
   const core::Program& program_;
   core::MachineConfig config_;
   QuantumKeeper keeper_;
@@ -125,8 +123,7 @@ class VpExecutor final : public core::Executor {
   UartDevice uart_;
   TimerDevice timer_;
   SymInputDevice sym_input_;
-  interp::Evaluator<VpMachine> evaluator_;
-  std::unordered_map<uint32_t, isa::Decoded> decode_cache_;
+  interp::Driver<VpMachine> driver_;
   uint64_t retired_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Tests for exploration tooling: branch coverage accounting, the DFS/BFS
 // search-order ablation (identical path sets on fully-explorable programs),
-// the stats report and merge, and the executor trace hook.
+// the stats report and merge, and the per-instruction observer event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "spec/registry.hpp"
+#include "vp/vp_executor.hpp"
 
 namespace binsym::core {
 namespace {
@@ -377,7 +378,7 @@ TEST_F(StatsTest, MergeFollowsEachRowsRule) {
   EXPECT_EQ(rule["peak_frontier"], "set");
 }
 
-TEST_F(StatsTest, TraceHookSeesEveryRetiredInstruction) {
+TEST_F(StatsTest, ObserverSeesEveryRetiredInstructionOnBothSpecEngines) {
   Program program = load(R"(
 _start:
     li t0, 3
@@ -388,21 +389,53 @@ loop:
     li a7, 93
     ecall
 )");
+  // Disassembles each instruction the executor announces.
+  struct Disassembler final : ExecObserver {
+    std::vector<std::string> lines;
+    void begin_run(PathTrace&) override { lines.clear(); }
+    void on_instruction(uint32_t pc, const isa::Decoded& decoded) override {
+      lines.push_back(isa::disassemble(decoded, pc));
+    }
+  };
+  auto observe = [&](Executor& executor) {
+    Disassembler observer;
+    executor.set_observer(&observer);
+    PathTrace trace;
+    executor.run(smt::Assignment{}, trace);
+    EXPECT_EQ(trace.exit, ExitReason::kExit) << executor.name();
+    EXPECT_EQ(observer.lines.size(), trace.steps) << executor.name();
+    EXPECT_EQ(executor.instructions_retired(), trace.steps) << executor.name();
+    // An observer needs every instruction's event, so no micro-op block
+    // runs: the binsym fast path yields to it, and vp has none at all.
+    EXPECT_EQ(executor.uop_counters().blocks_compiled, 0u) << executor.name();
+    EXPECT_EQ(executor.uop_counters().cache_hits, 0u) << executor.name();
+    executor.set_observer(nullptr);
+    return observer.lines;
+  };
+
   smt::Context ctx;
-  BinSymExecutor executor(ctx, decoder, registry, program);
-  std::vector<std::string> trace_lines;
-  executor.set_trace_hook([&](uint32_t pc, const isa::Decoded& decoded) {
-    trace_lines.push_back(isa::disassemble(decoded, pc));
-  });
-  PathTrace trace;
-  executor.run(smt::Assignment{}, trace);
-  EXPECT_EQ(trace_lines.size(), trace.steps);
-  EXPECT_EQ(trace_lines[0], "addi t0, zero, 3");
+  BinSymExecutor binsym(ctx, decoder, registry, program);
+  std::vector<std::string> lines = observe(binsym);
+  ASSERT_FALSE(lines.empty());
+  EXPECT_EQ(lines[0], "addi t0, zero, 3");
   // The loop body appears three times.
   size_t bne_count = 0;
-  for (const std::string& line : trace_lines)
+  for (const std::string& line : lines)
     bne_count += line.find("bne") != std::string::npos;
   EXPECT_EQ(bne_count, 3u);
+
+  smt::Context vp_ctx;
+  vp::VpExecutor vp(vp_ctx, decoder, registry, program);
+  EXPECT_EQ(observe(vp), lines);
+  // Not even with the observer detached does vp get a fast path.
+  PathTrace trace;
+  vp.run(smt::Assignment{}, trace);
+  interp::UopCounters vp_uops = vp.uop_counters();
+  EXPECT_EQ(vp_uops.blocks_compiled, 0u);
+  EXPECT_EQ(vp_uops.cache_hits, 0u);
+  EXPECT_EQ(vp_uops.guard_bails, 0u);
+  EXPECT_EQ(vp_uops.invalidations, 0u);
+  EXPECT_EQ(vp_uops.pages_clean_skipped, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the micro-op block fast path (interp/uop.hpp, block_cache.hpp,
 // uop_run.hpp): lowering units, BlockCache store-invalidation/poisoning,
-// randomized differential execution (fast path vs spec path vs the golden
-// oracle, for both the concrete and the taint interpreter), a pinned
+// randomized differential execution (fast path vs spec path, against the
+// golden oracle on the ISS and under symbolic data on the concolic
+// executor), a pinned
 // self-modifying-code guest and the engine-level stats. That the fast path
 // changes only cost, never the Table I path sets, is pinned by the
 // invariance matrix (test_invariance.cpp).
@@ -19,7 +20,6 @@
 #include "exploration_util.hpp"
 #include "interp/block_cache.hpp"
 #include "interp/concrete.hpp"
-#include "interp/taint.hpp"
 #include "interp/uop.hpp"
 #include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
@@ -167,8 +167,8 @@ TEST(UopBlockCache, StoreDropsOverlappingBlocksAndPoisonsThePage) {
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(block->count, 1u);
   EXPECT_EQ(cache.lookup(0x1000), block);
-  EXPECT_EQ(cache.cache_hits(), 1u);
-  EXPECT_EQ(cache.blocks_compiled(), 1u);
+  EXPECT_EQ(cache.counters().cache_hits, 1u);
+  EXPECT_EQ(cache.counters().blocks_compiled, 1u);
 
   // A store into an unrelated, never-cached page drops nothing...
   EXPECT_FALSE(cache.on_guest_store(0x8000, 4));
@@ -177,7 +177,7 @@ TEST(UopBlockCache, StoreDropsOverlappingBlocksAndPoisonsThePage) {
   EXPECT_TRUE(cache.on_guest_store(0x1800, 4));
   EXPECT_EQ(cache.lookup(0x1000), nullptr);
   EXPECT_TRUE(cache.page_poisoned(0x1000));
-  EXPECT_GE(cache.invalidations(), 1u);
+  EXPECT_GE(cache.counters().invalidations, 1u);
   // Repeated stores into the now-poisoned page are cheap no-ops.
   EXPECT_FALSE(cache.on_guest_store(0x1804, 4));
 }
@@ -188,9 +188,9 @@ TEST(UopBlockCache, NegativeEntriesCountHitsButCarryNoUops) {
   const BlockCache::Block* block = cache.finish_compile(0x2000, 0, 0);
   ASSERT_NE(block, nullptr);
   EXPECT_EQ(block->count, 0u);
-  EXPECT_EQ(cache.blocks_compiled(), 0u);  // nothing was lowered
+  EXPECT_EQ(cache.counters().blocks_compiled, 0u);  // nothing lowered
   EXPECT_EQ(cache.lookup(0x2000), block);
-  EXPECT_EQ(cache.cache_hits(), 1u);
+  EXPECT_EQ(cache.counters().cache_hits, 1u);
 }
 
 TEST(UopBlockCache, PoisonSurvivesCapacityFlush) {
@@ -408,74 +408,94 @@ TEST_P(UopDifferential, ConcreteFastPathMatchesSpecPathAndOracle) {
   EXPECT_GT(blocks_compiled, 0u);
 }
 
-TEST_P(UopDifferential, TaintFastPathMatchesSpecPath) {
+TEST_P(UopDifferential, ConcolicFastPathMatchesSpecPath) {
+  // BinSym's executor over the same kind of stream, with sym_input bytes
+  // inside the load/store window and two registers loaded from them, so
+  // the concolic policy refuses symbolic operands mid-block and the bailing
+  // instruction re-executes on the spec path.
+  constexpr uint32_t kSymOffset = 36;  // from x8: buffer bytes 100..107
+  constexpr uint32_t kSymBytes = 8;
+  const uint32_t base = kBufBase + 64;
+  auto li = [](uint32_t rd, uint32_t value) {
+    uint32_t hi = (value + 0x800) & 0xfffff000u;
+    return std::vector<uint32_t>{
+        isa::encode_u(0x37, rd, hi),                  // lui
+        isa::encode_i(0x13, 0, rd, rd, value - hi)};  // addi
+  };
   Rng rng(GetParam() + 100);
-  uint64_t blocks_compiled = 0;
+  uint64_t guard_bails = 0;
   for (int round = 0; round < 4; ++round) {
-    std::vector<uint32_t> slots = random_stream(rng);
+    std::vector<uint32_t> code;
+    auto emit = [&](const std::vector<uint32_t>& words) {
+      code.insert(code.end(), words.begin(), words.end());
+    };
+    emit(li(8, base));
+    emit(li(10, base + kSymOffset));  // sym_input(a0 = buffer, a1 = count)
+    emit(li(11, kSymBytes));
+    emit(li(17, core::kSysSymInput));
+    code.push_back(0x00000073);                              // ecall
+    code.push_back(isa::encode_i(0x03, 2, 5, 8, kSymOffset));      // lw t0
+    code.push_back(isa::encode_i(0x03, 2, 12, 8, kSymOffset + 4));  // lw a2
+    for (uint32_t r = 1; r < 32; ++r)
+      if (r != 5 && r != 8 && r != 12) emit(li(r, random_reg(rng)));
+    const uint64_t prologue_steps = code.size();
+    emit(random_stream(rng));
 
-    interp::TaintTracker fast(decoder, registry, /*uop_fastpath=*/true);
-    interp::TaintTracker slow(decoder, registry, /*uop_fastpath=*/false);
+    core::Program program;
+    program.load_words(kCodeBase, code);
+    std::vector<uint8_t> buffer(kBufSize);
+    for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.next());
+    program.load_bytes(kBufBase, buffer);
+    program.entry = kCodeBase;
 
-    for (unsigned r = 1; r < 32; ++r) {
-      uint32_t value = random_reg(rng);
-      bool tainted = r == 5 || r == 12;  // two taint sources in registers
-      fast.machine().regs_[r] = {value, 32, tainted};
-      slow.machine().regs_[r] = {value, 32, tainted};
-    }
-    const uint32_t base = kBufBase + 64;
-    fast.machine().regs_[8] = {base, 32, false};
-    slow.machine().regs_[8] = {base, 32, false};
-    for (uint32_t i = 0; i < kBufSize; ++i) {
-      uint8_t byte = static_cast<uint8_t>(rng.next());
-      fast.machine().memory_[kBufBase + i] = byte;
-      slow.machine().memory_[kBufBase + i] = byte;
-    }
-    for (uint32_t i = 0; i < 8; ++i) {  // a tainted window inside the buffer
-      fast.machine().taint_byte(kBufBase + 100 + i);
-      slow.machine().taint_byte(kBufBase + 100 + i);
-    }
-    for (unsigned i = 0; i < kSlots; ++i)
-      for (unsigned b = 0; b < 4; ++b) {
-        uint8_t byte = static_cast<uint8_t>(slots[i] >> (8 * b));
-        fast.machine().memory_[kCodeBase + 4 * i + b] = byte;
-        slow.machine().memory_[kCodeBase + 4 * i + b] = byte;
-      }
-    fast.machine().pc_ = kCodeBase;
-    slow.machine().pc_ = kCodeBase;
+    smt::Context ctx;  // shared, so equal expressions are equal pointers
+    smt::Assignment seed;
+    for (uint32_t i = 0; i < kSymBytes; ++i)
+      seed.set(ctx.var("in_" + std::to_string(i), 8)->var_id, rng.next());
+    core::MachineConfig config;
+    config.max_steps = prologue_steps + kStepBudget;
+    core::BinSymExecutor fast(ctx, decoder, registry, program, config);
+    config.uop_fastpath = false;
+    core::BinSymExecutor slow(ctx, decoder, registry, program, config);
+    core::PathTrace fast_trace;
+    core::PathTrace slow_trace;
+    slow.run(seed, slow_trace);
+    fast.run(seed, fast_trace);
 
-    uint64_t slow_steps = slow.run(kStepBudget);
-    uint64_t fast_steps = fast.run(kStepBudget);
-    ASSERT_EQ(slow_steps, kStepBudget) << "round " << round;
-    EXPECT_EQ(fast_steps, slow_steps) << "round " << round;
-
+    ASSERT_EQ(slow_trace.exit, core::ExitReason::kMaxSteps) << "round " << round;
+    EXPECT_EQ(fast_trace.exit, slow_trace.exit) << "round " << round;
+    EXPECT_EQ(fast_trace.steps, slow_trace.steps) << "round " << round;
+    EXPECT_EQ(fast.instructions_retired(), slow.instructions_retired())
+        << "round " << round;
+    const core::SymMachine& f = fast.machine();
+    const core::SymMachine& sl = slow.machine();
+    EXPECT_EQ(f.pc(), sl.pc()) << "round " << round;
     for (unsigned r = 0; r < 32; ++r) {
-      EXPECT_EQ(fast.machine().regs_[r].v, slow.machine().regs_[r].v)
+      EXPECT_EQ(f.read_register(r).conc, sl.read_register(r).conc)
           << "round " << round << " x" << r;
-      EXPECT_EQ(fast.machine().regs_[r].tainted,
-                slow.machine().regs_[r].tainted)
+      EXPECT_EQ(f.read_register(r).sym, sl.read_register(r).sym)
           << "round " << round << " x" << r;
     }
-    EXPECT_EQ(fast.machine().pc_, slow.machine().pc_) << "round " << round;
     for (uint32_t i = 0; i < kBufSize; ++i) {
-      EXPECT_EQ(fast.machine().memory_byte(kBufBase + i),
-                slow.machine().memory_byte(kBufBase + i))
-          << "round " << round << " buf+" << i;
-      EXPECT_EQ(fast.machine().byte_tainted(kBufBase + i),
-                slow.machine().byte_tainted(kBufBase + i))
-          << "round " << round << " buf+" << i;
+      interp::SymValue fb = f.memory().load(kBufBase + i, 1);
+      interp::SymValue sb = sl.memory().load(kBufBase + i, 1);
+      EXPECT_EQ(fb.conc, sb.conc) << "round " << round << " buf+" << i;
+      EXPECT_EQ(fb.sym, sb.sym) << "round " << round << " buf+" << i;
     }
-    EXPECT_EQ(fast.machine().tainted_branches(),
-              slow.machine().tainted_branches())
+    ASSERT_EQ(fast_trace.branches.size(), slow_trace.branches.size())
         << "round " << round;
-    EXPECT_EQ(fast.machine().tainted_pc_writes(),
-              slow.machine().tainted_pc_writes())
-        << "round " << round;
+    for (size_t i = 0; i < slow_trace.branches.size(); ++i) {
+      EXPECT_EQ(fast_trace.branches[i].pc, slow_trace.branches[i].pc);
+      EXPECT_EQ(fast_trace.branches[i].taken, slow_trace.branches[i].taken);
+      EXPECT_EQ(fast_trace.branches[i].cond, slow_trace.branches[i].cond);
+    }
+    EXPECT_EQ(fast_trace.assumptions.size(), slow_trace.assumptions.size());
 
-    blocks_compiled += fast.uop_counters().blocks_compiled;
-    EXPECT_EQ(slow.uop_counters().blocks_compiled, 0u);
+    guard_bails += fast.uop_counters().guard_bails;
+    EXPECT_GT(fast.uop_counters().blocks_compiled, 0u) << "round " << round;
+    EXPECT_EQ(slow.uop_counters().blocks_compiled, 0u) << "round " << round;
   }
-  EXPECT_GT(blocks_compiled, 0u);
+  EXPECT_GT(guard_bails, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UopDifferential,
